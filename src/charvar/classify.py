@@ -156,13 +156,13 @@ def _is_plain_gl_or_sl(spec: GroupSpec) -> bool:
     if len(spec.factors) != 1:
         return False
     n = spec.factors[0]
-    center = spec.center()
     full = spec.full_center_subgroup()
     if spec.torus_rank == 0:
         return full.order == 1
     if spec.torus_rank == 1:
-        gl_center = center.closure([center.element([Fraction(1, n)], [n - 1])])
-        return full == gl_center
+        # the GL(n) center is cyclic of order n, generated by (1/n, n-1)
+        gl_generator = spec.center().element([Fraction(1, n)], [n - 1])
+        return full.order == n and gl_generator in full
     return False
 
 

@@ -347,12 +347,15 @@ def _oracle_mismatches(spec, genus: int) -> list[str]:
         for i, (n, ell) in enumerate(zip(spec.factors, orders)):
             if genus == 1:
                 closed_dim = (2 * n - 2) - (2 * n - 2 * (n // ell))
-                counted = genus1_orbit_oracle(n, (element.ss_part[i], 0))
-                if counted != closed_dim:
-                    problems.append(
-                        f"genus-1 factor {i}: orbit count {counted} vs "
-                        f"formula {closed_dim} for twist {element.ss_part}"
-                    )
+                a = element.ss_part[i]
+                for pair in ((a, 0), (0, a)):
+                    counted = genus1_orbit_oracle(n, pair)
+                    if counted != closed_dim:
+                        problems.append(
+                            f"genus-1 factor {i}: orbit count {counted} vs "
+                            f"formula {closed_dim} for twist {element.ss_part} "
+                            f"as pair {pair}"
+                        )
             else:
                 closed = codim_highgenus_from_orders([n], [ell], genus)
                 counted = fixed_tangent_oracle(n, ell, genus)

@@ -6,6 +6,13 @@ finite subgroup Z0 of the center.  The center of the covering group is
 rationals in [0, 1) (the angle a/b stands for exp(2*pi*i*a/b)) and one
 residue mod n_i per special linear factor.
 
+Closures run in integer coordinates: the generators' torus angles go over
+their common denominator D, so the center they generate lives in
+Z_D^h x prod_i Z_{n_i} and is enumerated as plain integer tuples before
+being turned back into elements once.  A GroupSpec is immutable, so Z0 and
+its canonical decomposition are computed once per spec instance and kept
+on it; every later query on the same spec reuses them.
+
 Everything here is exact integer/rational arithmetic; no floats enter the
 combinatorial layer.
 """
@@ -17,7 +24,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_SUBGROUP_CAP = 10**6
@@ -115,22 +124,49 @@ class Center:
         generators: Iterable[CentralElement],
         cap: int = DEFAULT_SUBGROUP_CAP,
     ) -> "CentralSubgroup":
-        """Subgroup generated by ``generators``, enumerated breadth-first."""
-        seen = {self.identity()}
-        frontier = [self.identity()]
+        """Subgroup generated by ``generators``, in integer coordinates.
+
+        The torus angles go over their common denominator D (the lcm of the
+        generators' torus denominators, 1 when there are none), so every
+        element is an integer tuple in Z_D^h x prod Z_{n_i}.  The subgroup
+        grows one generator g at a time: joining <g> to a subgroup S adds
+        the cosets S + k g for 0 < k < m, where m is the least k with k g in
+        S.  Raises SubgroupCapExceeded as soon as the set would grow past
+        ``cap``.  The tuples are sorted (the order of their Fraction angles)
+        and turned into CentralElements once, at the end.
+        """
         gens = list(generators)
-        while frontier:
-            base = frontier.pop()
-            for g in gens:
-                s = self.add(base, g)
-                if s not in seen:
-                    seen.add(s)
-                    if len(seen) > cap:
-                        raise SubgroupCapExceeded(
-                            f"central subgroup exceeds cap of {cap} elements"
-                        )
-                    frontier.append(s)
-        return CentralSubgroup(seen)
+        denom = lcm(*(c.denominator for g in gens for c in g.torus_part))
+        moduli = (denom,) * self.torus_rank + self.factors
+
+        def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+        zero = (0,) * len(moduli)
+        elements = [zero]
+        seen = {zero}
+        for g in gens:
+            torus = tuple(c.numerator * (denom // c.denominator) for c in g.torus_part)
+            v = add(zero, torus + g.ss_part)
+            shifts = []
+            step = v
+            while step not in seen:
+                if len(elements) * (len(shifts) + 2) > cap:
+                    raise SubgroupCapExceeded(
+                        f"central subgroup exceeds cap of {cap} elements"
+                    )
+                shifts.append(step)
+                step = add(step, v)
+            grown = [add(x, t) for t in shifts for x in elements]
+            elements += grown
+            seen.update(grown)
+
+        h = self.torus_rank
+        elements.sort()
+        angles = {k: Fraction(k, denom) for x in elements for k in x[:h]}
+        return CentralSubgroup(
+            CentralElement(tuple(angles[k] for k in x[:h]), x[h:]) for x in elements
+        )
 
 
 class CentralSubgroup:
@@ -138,7 +174,10 @@ class CentralSubgroup:
 
     def __init__(self, elements: Iterable[CentralElement]):
         self.elements = tuple(sorted(elements))
-        self._set = frozenset(self.elements)
+
+    @cached_property
+    def _set(self) -> frozenset[CentralElement]:
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
@@ -205,8 +244,18 @@ class GroupSpec:
         return bool(self.factors)
 
     def full_center_subgroup(self, cap: int = DEFAULT_SUBGROUP_CAP) -> CentralSubgroup:
-        """Z0, the subgroup generated by the listed central generators."""
-        return self.center().closure(self.central_generators, cap)
+        """Z0, the subgroup generated by the listed central generators.
+
+        Closed once per spec and kept on it; every call still raises
+        SubgroupCapExceeded when |Z0| exceeds its ``cap``.
+        """
+        full = self.__dict__.get("_full_center")
+        if full is None:
+            full = self.center().closure(self.central_generators, cap)
+            object.__setattr__(self, "_full_center", full)
+        elif full.order > cap:
+            raise SubgroupCapExceeded(f"central subgroup exceeds cap of {cap} elements")
+        return full
 
     def to_json(self) -> dict:
         return {
@@ -270,32 +319,37 @@ class Decomposition:
 def canonical_decomposition(
     spec: GroupSpec, cap: int = DEFAULT_SUBGROUP_CAP
 ) -> Decomposition:
-    """Split Z0 into its torus-invisible kernel and the free torus part."""
-    center = spec.center()
+    """Split Z0 into its torus-invisible kernel and the free torus part.
+
+    Computed once per spec and kept on it, like Z0 itself.
+    """
     full = spec.full_center_subgroup(cap)
+    decomp = spec.__dict__.get("_decomposition")
+    if decomp is None:
+        decomp = _decompose(spec, full)
+        object.__setattr__(spec, "_decomposition", decomp)
+    return decomp
+
+
+def _decompose(spec: GroupSpec, full: CentralSubgroup) -> Decomposition:
     ss_kernel = CentralSubgroup(e for e in full if e.torus_trivial)
 
-    # cosets of ss_kernel correspond exactly to distinct torus parts
-    by_torus: dict[tuple[Fraction, ...], CentralElement] = {}
-    for e in full:
-        prev = by_torus.get(e.torus_part)
-        if prev is None or e < prev:
-            by_torus[e.torus_part] = e
-    etale_reps = tuple(sorted(by_torus.values()))
+    # cosets of ss_kernel correspond exactly to distinct torus parts; Z0 is
+    # sorted, so the first element of each run is the least of its coset
+    etale_reps = tuple(
+        next(run) for _, run in itertools.groupby(full, key=attrgetter("torus_part"))
+    )
 
+    center = spec.center()
+    residues = {e.ss_part for e in ss_kernel}
     pgl2 = frozenset(
         i
         for i, n in enumerate(spec.factors)
-        if n == 2 and center.sl_center_generator(i) in ss_kernel
+        if n == 2 and center.sl_center_generator(i).ss_part in residues
     )
-    flips = center.closure([center.sl_center_generator(i) for i in sorted(pgl2)], cap)
-    coset_reps: dict[frozenset, CentralElement] = {}
-    for e in ss_kernel:
-        coset = frozenset(center.add(e, f) for f in flips)
-        prev = coset_reps.get(coset)
-        if prev is None or e < prev:
-            coset_reps[coset] = e
-    reduced = tuple(sorted(coset_reps.values()))
+    # a coset of the sign flips of the PGL(2) slots runs over every value of
+    # those slots; its least element is the one with all of them set to 0
+    reduced = tuple(e for e in ss_kernel if not any(e.ss_part[i] for i in pgl2))
 
     return Decomposition(
         spec=spec,

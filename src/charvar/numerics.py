@@ -575,8 +575,9 @@ def cohomology_dims(
 ) -> CohomologyReport:
     """h^0, h^1, h^2 with coefficients in the adjoint representation.
 
-    Ranks come from SVD cuts at rank_tol times the top singular value; the
-    report carries the worst gap across both differentials, and is flagged
+    Ranks come from SVD cuts at rank_tol * max(s0, 1), where s0 is the top
+    singular value, so the cut never falls below rank_tol itself; the report
+    carries the worst gap across both differentials, and is flagged
     unreliable when that gap drops below 1000.
     """
     basis = lie_basis(rep.n, rep.det_mode)

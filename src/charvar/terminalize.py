@@ -225,11 +225,6 @@ def render_plan(plan: TerminalizationPlan) -> str:
     return "\n".join(lines)
 
 
-def plan_matches_verdict(plan: TerminalizationPlan, verdict: Verdict) -> bool:
-    """Consistency: the plan is smooth iff a resolution exists."""
-    return plan.smooth == verdict.has_resolution
-
-
 def plan_and_verdict(
     spec: GroupSpec, genus: int
 ) -> tuple[TerminalizationPlan, Verdict]:

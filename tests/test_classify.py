@@ -1,8 +1,5 @@
 """Resolution classification: frozen verdicts plus an independent recheck."""
 
-import functools
-import itertools
-
 from charvar.classify import (
     NO_RESOLUTION_KIND,
     RESOLUTION_KIND,
@@ -15,29 +12,15 @@ from charvar.groups import (
     Center,
     GroupSpec,
     canonical_decomposition,
-    enumerate_central_subgroups,
     parse_group_spec,
 )
+from conftest import small_group_catalog
 
 
 def quotient_spec(factors, generators):
     center = Center(0, tuple(factors))
     gens = tuple(center.element((), g) for g in generators)
     return GroupSpec(torus_rank=0, factors=tuple(factors), central_generators=gens)
-
-
-@functools.lru_cache(maxsize=None)
-def small_group_catalog(values=(2, 3, 4, 5), max_size=3):
-    """Every quotient of a small SL product by a central subgroup."""
-    specs = []
-    for size in range(1, max_size + 1):
-        for factors in itertools.combinations_with_replacement(values, size):
-            for subgroup in enumerate_central_subgroups(factors):
-                gens = tuple(x for x in subgroup if not x.is_identity)
-                specs.append(
-                    GroupSpec(torus_rank=0, factors=factors, central_generators=gens)
-                )
-    return specs
 
 
 # ---------------------------------------------------------------- verdicts

@@ -201,3 +201,30 @@ def test_analyze_human_output_mentions_plan(capsys):
     assert code == 0
     assert "terminalization plan" in out
     assert "Q-factorial terminal" in out
+
+
+def test_oracle_checks_second_pair_coordinate(capsys, monkeypatch):
+    real = cli.genus1_orbit_oracle
+
+    def wrong_in_second_coordinate(n, pair):
+        return 999 if pair[0] == 0 and pair[1] else real(n, pair)
+
+    monkeypatch.setattr(cli, "genus1_orbit_oracle", wrong_in_second_coordinate)
+    payload = json.loads(
+        run(capsys, "fixed-loci", "--group", "PGL(3)", "--genus", "1", "--oracle", "--json")[1]
+    )
+    problems = payload["oracle_mismatches"]
+    assert len(problems) == 2
+    assert all("as pair (0, " in p for p in problems)
+
+
+def test_all_lists_public_names_only():
+    import types
+
+    import charvar
+
+    assert len(set(charvar.__all__)) == len(charvar.__all__)
+    for name in charvar.__all__:
+        assert not isinstance(getattr(charvar, name), types.ModuleType), name
+    assert "plan_terminalization" in charvar.__all__
+    assert "groups" not in charvar.__all__

@@ -1,10 +1,7 @@
 """Terminalization plans and their agreement with the classification."""
 
-import functools
-import itertools
-
 from charvar.classify import classify_resolution
-from charvar.groups import Center, GroupSpec, enumerate_central_subgroups, parse_group_spec
+from charvar.groups import Center, GroupSpec, parse_group_spec
 from charvar.terminalize import (
     CENTRAL_QUOTIENT,
     ETALE_QUOTIENT,
@@ -17,6 +14,7 @@ from charvar.terminalize import (
     plan_terminalization,
     render_plan,
 )
+from conftest import small_group_catalog
 
 import pytest
 
@@ -25,19 +23,6 @@ def quotient_spec(factors, generators):
     center = Center(0, tuple(factors))
     gens = tuple(center.element((), g) for g in generators)
     return GroupSpec(torus_rank=0, factors=tuple(factors), central_generators=gens)
-
-
-@functools.lru_cache(maxsize=None)
-def small_group_catalog(values=(2, 3, 4, 5), max_size=3):
-    specs = []
-    for size in range(1, max_size + 1):
-        for factors in itertools.combinations_with_replacement(values, size):
-            for subgroup in enumerate_central_subgroups(factors):
-                gens = tuple(x for x in subgroup if not x.is_identity)
-                specs.append(
-                    GroupSpec(torus_rank=0, factors=factors, central_generators=gens)
-                )
-    return specs
 
 
 def test_sl2_genus2_single_blowup():
