@@ -55,7 +55,7 @@ EXIT_VERIFY_FAILURE = 2
 # which rule justifies each analyze field, stated by content
 CITATIONS = {
     "dimension": (
-        "dimension count: 2gh for the torus plus 2(g-1)(n_i^2-1)+2 summed "
+        "dimension count: 2gh for the torus plus 2(g-1)(n_i^2-1) summed "
         "over SL factors at genus >= 2, and 2h plus 2(n_i-1) at genus one"
     ),
     "strata": (

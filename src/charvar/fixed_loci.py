@@ -134,7 +134,7 @@ def min_nonfree_codim(
     factors = decomp.factors
     best: Optional[tuple[int, CentralElement]] = None
     for tau in candidates:
-        orders = per_factor_orders(tau, factors)
+        orders = [n // gcd(a, n) for a, n in zip(tau.ss_part, factors)]
         if genus == 1:
             codim = codim_genus1_from_orders(factors, orders)
         else:

@@ -9,6 +9,8 @@ with [A, B] = A B A^-1 B^-1.  This module refines approximate tuples onto
 the relation variety with a damped Gauss-Newton iteration (analytic
 Jacobians, no finite differences), computes group cohomology ranks at a
 point via Fox derivatives of the relator, and measures centralizers.
+The relator is holomorphic, so its steps solve (J J^H + lambda I) y = F in
+complex arithmetic; adjoint matrices use the Kronecker form kron(g, g^-T).
 
 There is also a second coordinate system: tuples A_1..A_g with
 
@@ -20,8 +22,9 @@ with no extra work.  Unitary tuples solve the equation exactly and make
 convenient starting points.
 
 Conventions: matrices are flattened row-major throughout, so
-vec(P X Q) = kron(P, Q^T) vec(X).  Real parametrizations interleave as
-(Re vec M, Im vec M) per matrix, matrices ordered A_1, B_1, A_2, B_2, ...
+vec(P X Q) = kron(P, Q^T) vec(X).  Complex parametrizations concatenate
+vec M per matrix; the moment map's real one interleaves (Re vec M, Im vec M)
+per matrix.  Matrices are ordered A_1, B_1, A_2, B_2, ...
 """
 
 from __future__ import annotations
@@ -78,10 +81,18 @@ def lie_basis(n: int, mode: str = "sl") -> np.ndarray:
 
 def adjoint_matrix(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Matrix of X -> g X g^-1 in the given orthonormal basis."""
-    ginv = np.linalg.inv(g)
-    conjugated = np.einsum("ab,kbc,cd->kad", g, basis, ginv)
-    # entries <B_j, g B_k g^-1>
-    return np.einsum("jba,kba->jk", basis.conj(), conjugated)
+    return _adjoint(g, np.linalg.inv(g), basis)
+
+
+def _adjoint(g: np.ndarray, ginv: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # entries <B_j, g B_k g^-1>, with vec(g X g^-1) = kron(g, g^-T) vec(X)
+    vecs = basis.reshape(basis.shape[0], -1)
+    return vecs.conj() @ (_kron(g, ginv.T) @ vecs.T)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, without its per-call dispatch cost."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +227,7 @@ def shift_matrix(n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Damped Gauss-Newton on real-lifted systems
+# Damped Gauss-Newton: complex J J^H solves, real lift for the moment map
 
 SystemFn = Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]]
 
@@ -224,7 +235,7 @@ SystemFn = Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]]
 def _lift_real(
     residual: np.ndarray,
     holo_blocks: Sequence[np.ndarray],
-    anti_blocks: Optional[Sequence[np.ndarray]] = None,
+    anti_blocks: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real residual and Jacobian from complex Wirtinger blocks.
 
@@ -234,25 +245,25 @@ def _lift_real(
     """
     F = np.concatenate([residual.real, residual.imag])
     cols = []
-    for t, C in enumerate(holo_blocks):
-        D = anti_blocks[t] if anti_blocks is not None else np.zeros_like(C)
+    for C, D in zip(holo_blocks, anti_blocks):
         s, d = C + D, C - D
-        Jx = np.vstack([s.real, s.imag])
-        Jy = np.vstack([-d.imag, d.real])
-        cols.append(np.hstack([Jx, Jy]))
+        cols += [np.vstack([s.real, s.imag]), np.vstack([-d.imag, d.real])]
     return F, np.hstack(cols)
 
 
 def _apply_step(mats: list[np.ndarray], delta: np.ndarray) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    for m in mats:
-        size = m.size
-        dx = delta[offset : offset + size]
-        dy = delta[offset + size : offset + 2 * size]
-        offset += 2 * size
-        out.append(m + (dx + 1j * dy).reshape(m.shape))
-    return out
+    steps = delta.reshape(len(mats), -1)
+    if not np.iscomplexobj(delta):
+        # a real step holds (Re vec dM, Im vec dM) per matrix
+        half = steps.shape[1] // 2
+        steps = steps[:, :half] + 1j * steps[:, half:]
+    return [m + s.reshape(m.shape) for m, s in zip(mats, steps)]
+
+
+def _gauss_newton_step(F: np.ndarray, J: np.ndarray, lam: float) -> np.ndarray:
+    """Minimum-norm damped step: (J J^H + lam I) y = F, delta = -J^H y."""
+    JH = J.conj().T
+    return -(JH @ np.linalg.solve(J @ JH + lam * np.eye(J.shape[0]), F))
 
 
 def _damped_gauss_newton(
@@ -264,9 +275,12 @@ def _damped_gauss_newton(
 ) -> list[np.ndarray]:
     """Minimum-norm Gauss-Newton steps with a multiplicative trust damper.
 
-    The step solves (J J^T + lambda I) y = F, delta = -J^T y.  Accepted
-    steps divide lambda by 10 (floor 1e-14), rejected ones multiply by 10;
-    past 1e8 the iteration gives up.
+    The step solves (J J^H + lambda I) y = F, delta = -J^H y: in complex
+    arithmetic for a holomorphic system such as the relator (the iterates of
+    its realification, at half the size), with J^H = J^T on the real lift
+    of the non-holomorphic moment map.  Accepted steps divide lambda by 10
+    (floor 1e-14), rejected ones multiply by 10; past 1e8 the iteration
+    gives up.
     """
     current = [np.array(m, dtype=complex) for m in mats]
     if retract is not None:
@@ -276,12 +290,9 @@ def _damped_gauss_newton(
     if res <= tol:
         return current
     lam = _LAMBDA_INIT
-    eye = np.eye(J.shape[0])
     for _ in range(max_iter):
         try:
-            y = np.linalg.solve(J @ J.T + lam * eye, F)
-            delta = -(J.T @ y)
-            candidate = _apply_step(current, delta)
+            candidate = _apply_step(current, _gauss_newton_step(F, J, lam))
             if retract is not None:
                 candidate = retract(candidate)
             F2, J2 = system(candidate)
@@ -315,10 +326,8 @@ def _relator_system(genus: int, n: int) -> SystemFn:
     eye = np.eye(n, dtype=complex)
 
     def system(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        A = mats[0::2]
-        B = mats[1::2]
-        Ainv = [np.linalg.inv(a) for a in A]
-        Binv = [np.linalg.inv(b) for b in B]
+        A, B = mats[0::2], mats[1::2]
+        Ainv, Binv = [np.linalg.inv(a) for a in A], [np.linalg.inv(b) for b in B]
         K = [A[i] @ B[i] @ Ainv[i] @ Binv[i] for i in range(genus)]
         left = [eye]
         for i in range(genus):
@@ -331,14 +340,14 @@ def _relator_system(genus: int, n: int) -> SystemFn:
         blocks = []
         for i in range(genus):
             tail = Ainv[i] @ Binv[i] @ right[i]
-            jac_a = np.kron(left[i], (B[i] @ tail).T) - np.kron(
+            jac_a = _kron(left[i], (B[i] @ tail).T) - _kron(
                 left[i] @ A[i] @ B[i] @ Ainv[i], tail.T
             )
-            jac_b = np.kron(left[i] @ A[i], tail.T) - np.kron(
+            jac_b = _kron(left[i] @ A[i], tail.T) - _kron(
                 left[i] @ K[i], (Binv[i] @ right[i]).T
             )
             blocks.extend((jac_a, jac_b))
-        return _lift_real(residual, blocks)
+        return residual, np.hstack(blocks)
 
     return system
 
@@ -385,18 +394,10 @@ def moment_residual(A: Sequence[np.ndarray]) -> float:
     return float(np.linalg.norm(moment_map(A) - np.eye(n)))
 
 
-def _transpose_permutation(n: int) -> np.ndarray:
-    """Permutation with vec(X^T) = T vec(X), row-major."""
-    T = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            T[i * n + j, j * n + i] = 1.0
-    return T
-
-
 def _moment_system(count: int, n: int) -> SystemFn:
     eye = np.eye(n, dtype=complex)
-    tperm = _transpose_permutation(n)
+    # vec(X^T) = vec(X)[tperm]; dA* is the transpose of the entrywise conjugate
+    tperm = np.arange(n * n).reshape(n, n).T.reshape(-1)
 
     def system(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         stars = [a.conj().T for a in mats]
@@ -416,15 +417,14 @@ def _moment_system(count: int, n: int) -> SystemFn:
             qr = Qinv[i] @ right[i]
             # dPsi = L dA (A* Qinv R) + (L A) dA* (Qinv R)
             #        - (L P Qinv) dA* (A Qinv R) - (L P Qinv A*) dA (Qinv R)
-            C = np.kron(left[i], (stars[i] @ qr).T) - np.kron(
+            C = _kron(left[i], (stars[i] @ qr).T) - _kron(
                 left[i] @ P[i] @ Qinv[i] @ stars[i], qr.T
             )
-            Dstar = np.kron(left[i] @ mats[i], qr.T) - np.kron(
+            Dstar = _kron(left[i] @ mats[i], qr.T) - _kron(
                 left[i] @ P[i] @ Qinv[i], (mats[i] @ qr).T
             )
-            # dA* is the transpose of the entrywise conjugate
             holo.append(C)
-            anti.append(Dstar @ tperm)
+            anti.append(Dstar[:, tperm])
         return _lift_real(residual, holo, anti)
 
     return system
@@ -495,9 +495,8 @@ def coboundary_matrix(
     """d0: stacked blocks (I - Ad(gen)) of shape (2g d, d)."""
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
-    d = basis.shape[0]
-    blocks = [np.eye(d) - adjoint_matrix(g, basis) for g in rep.generators()]
-    return np.vstack(blocks)
+    eye = np.eye(basis.shape[0])
+    return np.vstack([eye - adjoint_matrix(g, basis) for g in rep.generators()])
 
 
 def cocycle_matrix(
@@ -513,8 +512,9 @@ def cocycle_matrix(
         basis = lie_basis(rep.n, rep.det_mode)
     d = basis.shape[0]
     gens = rep.generators()
-    adjoints = [adjoint_matrix(g, basis) for g in gens]
-    adjoints_inv = [adjoint_matrix(np.linalg.inv(g), basis) for g in gens]
+    invs = [np.linalg.inv(g) for g in gens]
+    adjoints = [_adjoint(g, gi, basis) for g, gi in zip(gens, invs)]
+    adjoints_inv = [_adjoint(gi, g, basis) for g, gi in zip(gens, invs)]
     coeffs = [np.zeros((d, d), dtype=complex) for _ in gens]
     prefix = np.eye(d, dtype=complex)
     for j, exp in surface_relator_word(rep.genus):
@@ -626,7 +626,7 @@ def centralizer_dim(
         words.append(w)
     eye = np.eye(n)
     stack = np.vstack(
-        [np.kron(w, eye) - np.kron(eye, w.T) for w in words]
+        [_kron(w, eye) - _kron(eye, w.T) for w in words]
     )
     rank, _ = _svd_rank(stack, rank_tol)
     nullity = n * n - rank

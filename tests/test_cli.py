@@ -42,6 +42,16 @@ def test_analyze_json_shape(capsys):
         assert len(report["citations"][key]) > 20
 
 
+def test_dimension_citation_states_the_computed_formula(capsys):
+    report = run_json(capsys, "analyze", "--group", "GL(3)", "--genus", "2")
+    assert report["citations"]["dimension"] == (
+        "dimension count: 2gh for the torus plus 2(g-1)(n_i^2-1) summed over "
+        "SL factors at genus >= 2, and 2h plus 2(n_i-1) at genus one"
+    )
+    # the cited formula at h = 1, g = 2 and one SL(3) factor
+    assert report["dimension"] == 2 * 2 * 1 + 2 * (2 - 1) * (3 * 3 - 1)
+
+
 def test_strata_row_keys(capsys):
     table = run_json(capsys, "strata", "--group", "SL(3)", "--genus", "2")
     rows = table["factors"][0]["strata"]

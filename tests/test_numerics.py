@@ -8,6 +8,9 @@ from charvar.numerics import (
     CohomologyReport,
     ConvergenceError,
     SurfaceRep,
+    _adjoint,
+    _gauss_newton_step,
+    _kron,
     _moment_system,
     _relator_system,
     adjoint_matrix,
@@ -69,31 +72,73 @@ def test_adjoint_is_multiplicative():
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+def _einsum_adjoint(g, basis):
+    """Ad(g) by a three-operand einsum: an independent oracle for the
+    Kronecker form."""
+    ginv = np.linalg.inv(g)
+    conjugated = np.einsum("ab,kbc,cd->kad", g, basis, ginv)
+    # entries <B_j, g B_k g^-1>
+    return np.einsum("jba,kba->jk", basis.conj(), conjugated)
+
+
+def test_kronecker_adjoint_matches_einsum_oracle():
+    rng = np.random.default_rng(17)
+    for n in range(2, 7):
+        g = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for mode in ("sl", "gl"):
+            basis = lie_basis(n, mode)
+            want = _einsum_adjoint(g, basis)
+            got = adjoint_matrix(g, basis)
+            assert got.shape == want.shape == (basis.shape[0],) * 2
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (n, mode)
+
+
+def test_inverse_adjoints_of_cocycle_matrix():
+    # cocycle_matrix builds Ad(g^-1) as _adjoint(g^-1, g): it must invert Ad(g)
+    rng = np.random.default_rng(18)
+    for n in range(2, 7):
+        g = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        ginv = np.linalg.inv(g)
+        for mode in ("sl", "gl"):
+            basis = lie_basis(n, mode)
+            ad_inv = _adjoint(ginv, g, basis)
+            assert np.allclose(ad_inv @ adjoint_matrix(g, basis), np.eye(len(basis)), atol=1e-10)
+            assert np.allclose(ad_inv, _einsum_adjoint(ginv, basis), atol=1e-10)
+
+
+def test_kron_matches_numpy():
+    rng = np.random.default_rng(19)
+    for n, m in [(1, 3), (2, 2), (3, 4), (5, 2)]:
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        assert np.array_equal(_kron(a, b), np.kron(a, b))
+        assert np.array_equal(_kron(b, b.T), np.kron(b, b.T))
+
+
 # -------------------------------------------------- jacobians vs differences
 
 
 def _fd_check(system, mats, seed=0, eps=1e-6):
-    """Directional finite difference of the real-lifted residual."""
+    """Directional central difference against the analytic Jacobian.
+
+    The direction is dM = dx + i dy per matrix.  A complex (holomorphic)
+    system is checked as J @ vec(dM); a real-lifted one as J @ v, where v
+    holds (dx, dy) per matrix.
+    """
     F, J = system(mats)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(J.shape[1])
+    v = rng.standard_normal(2 * sum(m.size for m in mats))
     v /= np.linalg.norm(v)
+    dxdy = v.reshape(len(mats), 2, -1)
+    dz = dxdy[:, 0] + 1j * dxdy[:, 1]
 
     def shifted(sign):
-        out = []
-        offset = 0
-        for m in mats:
-            size = m.size
-            dx = v[offset : offset + size]
-            dy = v[offset + size : offset + 2 * size]
-            offset += 2 * size
-            out.append(m + sign * eps * (dx + 1j * dy).reshape(m.shape))
-        return out
+        return [m + sign * eps * d.reshape(m.shape) for m, d in zip(mats, dz)]
 
     Fp, _ = system(shifted(+1.0))
     Fm, _ = system(shifted(-1.0))
     fd = (Fp - Fm) / (2.0 * eps)
-    exact = J @ v
+    exact = J @ (dz.reshape(-1) if np.iscomplexobj(J) else v)
     err = np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-12)
     return err
 
@@ -101,7 +146,11 @@ def _fd_check(system, mats, seed=0, eps=1e-6):
 def test_relator_jacobian_matches_finite_differences():
     for genus, n, seed in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
         rep = sample_random_rep(n, genus, seed=seed, spread=0.4)
-        err = _fd_check(_relator_system(genus, n), rep.generators(), seed=seed)
+        system = _relator_system(genus, n)
+        F, J = system(rep.generators())
+        # holomorphic: complex residual, one complex column per entry
+        assert np.iscomplexobj(J) and J.shape == (n * n, 2 * genus * n * n)
+        err = _fd_check(system, rep.generators(), seed=seed)
         assert err < 1e-6, (genus, n, err)
 
 
@@ -109,8 +158,27 @@ def test_moment_jacobian_matches_finite_differences():
     # the anti-holomorphic half is the part worth distrusting
     for count, n, seed in [(1, 2, 4), (2, 2, 5), (2, 3, 6)]:
         mats = sample_moment_start(n, count, seed=seed, spread=0.4)
-        err = _fd_check(_moment_system(count, n), mats, seed=seed)
+        system = _moment_system(count, n)
+        F, J = system(mats)
+        assert not np.iscomplexobj(J) and J.shape == (2 * n * n, 2 * count * n * n)
+        err = _fd_check(system, mats, seed=seed)
         assert err < 1e-6, (count, n, err)
+
+
+def test_complex_step_matches_realified_step():
+    # the complex J J^H solve is the realification of the real J J^T solve;
+    # J J^H is singular (the relator has unit determinant), so both solves
+    # lose about 1/lam of precision and the check runs from the start damping up
+    for genus, n, seed in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
+        rep = sample_random_rep(n, genus, seed=seed, spread=0.4)
+        F, J = _relator_system(genus, n)(rep.generators())
+        F_real = np.concatenate([F.real, F.imag])
+        J_real = np.block([[J.real, -J.imag], [J.imag, J.real]])
+        for lam in (1e-3, 1e-1, 1.0, 10.0):
+            step = _gauss_newton_step(F, J, lam)
+            real_step = _gauss_newton_step(F_real, J_real, lam)
+            dx, dy = np.split(real_step, 2)
+            assert np.linalg.norm(step - (dx + 1j * dy)) <= 1e-10, (genus, n, lam)
 
 
 # ------------------------------------------------------------- refinement
