@@ -93,6 +93,19 @@ COMMANDS = {
     "terminalize_mixed_denominators_g1": [
         "terminalize", "--group", MIXED_DENOMINATORS, "--genus", "1",
     ],
+    "verify_fixed_loci_n2346_g123": [
+        "verify", "--suite", "fixed-loci", "--n", "2,3,4,6", "--genus", "1,2,3",
+    ],
+    "verify_all_n2_g2_seed42": [
+        "verify", "--suite", "all", "--n", "2", "--genus", "2",
+        "--trials", "1", "--seed", "42",
+    ],
+    "fixed_loci_pgl4_g2_oracle": [
+        "fixed-loci", "--group", "PGL(4)", "--genus", "2", "--oracle",
+    ],
+    "fixed_loci_pgl2_3_g1_oracle": [
+        "fixed-loci", "--group", "PGL(2)^3", "--genus", "1", "--oracle",
+    ],
 }
 
 
