@@ -12,8 +12,8 @@ classification said a resolution exists, which is checked here live.
 from charvar import (
     Center,
     GroupSpec,
+    classify_resolution,
     enumerate_central_subgroups,
-    plan_and_verdict,
     plan_terminalization,
     parse_group_spec,
     render_plan,
@@ -36,7 +36,7 @@ for sub in enumerate_central_subgroups((2, 4)):
     gens = tuple(e for e in sub.elements if not e.is_identity)
     spec = GroupSpec(0, (2, 4), gens)
     for genus in (1, 2, 3):
-        plan, verdict = plan_and_verdict(spec, genus)
-        assert plan.smooth == verdict.has_resolution
+        plan = plan_terminalization(spec, genus)
+        assert plan.smooth == classify_resolution(spec, genus).has_resolution
         agreements += 1
 print(f"\nplanner agrees with the classification in {agreements} quotient cases")

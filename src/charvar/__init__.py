@@ -83,7 +83,6 @@ from .terminalize import (
     Leaf,
     QuotientStep,
     TerminalizationPlan,
-    plan_and_verdict,
     plan_terminalization,
     render_plan,
 )
@@ -159,7 +158,6 @@ __all__ = [
     "Leaf",
     "QuotientStep",
     "TerminalizationPlan",
-    "plan_and_verdict",
     "plan_terminalization",
     "render_plan",
 ]

@@ -90,9 +90,7 @@ class Verdict:
         }
 
 
-def singular_locus_codim(
-    spec: GroupSpec, genus: int, decomp: Optional[Decomposition] = None
-) -> Optional[int]:
+def singular_locus_codim(spec: GroupSpec, genus: int) -> Optional[int]:
     """Codimension of the singular locus, or None when smooth (abelian).
 
     Two sources of singularities compete: degenerate strata inside each SL
@@ -104,10 +102,8 @@ def singular_locus_codim(
         raise ValueError(f"genus must be >= 1, got {genus}")
     if not spec.nonabelian:
         return None
-    if decomp is None:
-        decomp = canonical_decomposition(spec)
     best = min(singular_codim_factor(n, genus) for n in spec.factors)
-    nonfree = min_nonfree_codim(decomp, genus)
+    nonfree = min_nonfree_codim(canonical_decomposition(spec), genus)
     if nonfree is not None:
         best = min(best, nonfree[0])
     return best
@@ -118,9 +114,7 @@ def _factor_label(decomp: Decomposition) -> str:
     return " x ".join(names) if names else "trivial"
 
 
-def properties_report(
-    spec: GroupSpec, genus: int, decomp: Optional[Decomposition] = None
-) -> PropertyFlags:
+def properties_report(spec: GroupSpec, genus: int) -> PropertyFlags:
     """Singularity flags; scope of each flag is described in the docstring.
 
     Symplectic singularities and Q-factoriality hold for every group here.
@@ -128,9 +122,7 @@ def properties_report(
     genus >= 2 (true away from (n, g) = (2, 2), false there) and for smooth
     abelian cases; elsewhere it is reported as unknown.
     """
-    if decomp is None:
-        decomp = canonical_decomposition(spec)
-    codim = singular_locus_codim(spec, genus, decomp)
+    codim = singular_locus_codim(spec, genus)
     singular = codim is not None
     terminal = (codim is None) or codim >= 4
 
@@ -211,7 +203,7 @@ def classify_resolution(spec: GroupSpec, genus: int) -> Verdict:
             ),
             certificate=None,
         )
-    flags = properties_report(spec, genus, decomp)
+    flags = properties_report(spec, genus)
     if flags.terminal:
         argument = "terminal-by-codimension"
         detail = (

@@ -5,6 +5,10 @@ presets.  Every subcommand takes --json for machine-readable output and
 --config pointing at a JSON file whose keys mirror the flag names (explicit
 flags win).  Exit codes: 0 success, 1 input error, 2 verification failure,
 so CI can tell a typo from mathematics disagreeing with an oracle.
+
+This module only parses and validates flags and formats results; the
+library computes them, and ``charvar.verify`` runs the verify suites and
+the --oracle cross-checks.
 """
 
 from __future__ import annotations
@@ -12,19 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .classify import classify_resolution, properties_report, singular_locus_codim
-from .fixed_loci import (
-    codim_highgenus_from_orders,
-    fixed_codim_genus1,
-    fixed_codim_highgenus,
-    fixed_tangent_oracle,
-    genus1_orbit_oracle,
-    min_nonfree_codim,
-    per_factor_orders,
-)
+from .classify import classify_resolution, properties_report
+from .fixed_loci import fixed_codim_genus1, fixed_codim_highgenus, min_nonfree_codim
 from .groups import (
     PRESET_CATALOG,
     GroupSpecError,
@@ -32,21 +27,9 @@ from .groups import (
     char_variety_dim,
     parse_group_spec,
 )
-from .numerics import (
-    ConvergenceError,
-    centralizer_dim,
-    cohomology_dims,
-    fixed_point_tangent_check,
-    moment_residual,
-    mpa_to_surface,
-    newton_refine_rep,
-    refine_moment_map_point,
-    sample_diagonal_rep,
-    sample_moment_start,
-    sample_random_rep,
-)
 from .strata import strata_table
 from .terminalize import plan_terminalization, render_plan
+from .verify import SUITES, oracle_mismatches, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -81,10 +64,6 @@ CITATIONS = {
         "quotients"
     ),
 }
-
-_VERIFY_SUITES = ("cohomology", "moment-map", "fixed-loci", "all")
-_MAX_RESAMPLES = 5
-
 
 class CliInputError(Exception):
     """Bad flags, config, or group description; maps to exit code 1."""
@@ -149,7 +128,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="numerical suites against exact predictions")
     common(p, group=False, genus=False)
-    p.add_argument("--suite", choices=_VERIFY_SUITES, default=None)
+    p.add_argument("--suite", choices=SUITES, default=None)
     p.add_argument("--n", dest="sizes", default=None, help="comma-separated sizes")
     p.add_argument(
         "--genus", dest="genera", default=None, help="comma-separated genera"
@@ -239,40 +218,37 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 # report-building subcommands
 
 
-def _analysis_report(spec, genus: int) -> dict:
-    decomp = canonical_decomposition(spec)
-    flags = properties_report(spec, genus, decomp)
+def _verdict_text(verdict) -> str:
+    case = f" ({verdict.case})" if verdict.case else ""
+    return f"verdict: {verdict.kind}{case}\n  {verdict.witness}"
+
+
+def _cmd_analyze(args, config) -> int:
+    spec = _resolve_spec(args, config)
+    genus = _resolve_genus(args, config)
+    flags = properties_report(spec, genus)
     verdict = classify_resolution(spec, genus)
     plan = plan_terminalization(spec, genus)
-    return {
+    report = {
         "group": spec.to_json(),
         "genus": genus,
-        "decomposition": decomp.summary(),
+        "decomposition": canonical_decomposition(spec).summary(),
         "dimension": char_variety_dim(spec, genus),
         "strata": strata_table(spec, genus).to_json(),
-        "singular_codim": singular_locus_codim(spec, genus, decomp),
+        "singular_codim": flags.singular_codim,
         "properties": flags.to_json(),
         "verdict": verdict.to_json(),
         "terminalization": plan.to_json(),
         "verification": None,
         "citations": dict(CITATIONS),
     }
-
-
-def _cmd_analyze(args, config) -> int:
-    spec = _resolve_spec(args, config)
-    genus = _resolve_genus(args, config)
-    report = _analysis_report(spec, genus)
-    verdict = report["verdict"]
     lines = [
         f"group: {_merged(args, config, 'group')}",
         f"genus: {genus}",
         f"dimension: {report['dimension']}",
-        f"singular locus codimension: {report['singular_codim']}",
-        f"verdict: {verdict['kind']}"
-        + (f" ({verdict['case']})" if verdict["case"] else ""),
-        f"  {verdict['witness']}",
-        render_plan(plan_terminalization(spec, genus)),
+        f"singular locus codimension: {flags.singular_codim}",
+        _verdict_text(verdict),
+        render_plan(plan),
     ]
     _emit(report, _merged(args, config, "json", False), "\n".join(lines))
     return EXIT_OK
@@ -306,12 +282,7 @@ def _cmd_classify(args, config) -> int:
     payload = verdict.to_json()
     payload["citation"] = CITATIONS["verdict"]
     payload["properties"] = properties_report(spec, genus).to_json()
-    text = (
-        f"verdict: {verdict.kind}"
-        + (f" ({verdict.case})" if verdict.case else "")
-        + f"\n  {verdict.witness}"
-    )
-    _emit(payload, _merged(args, config, "json", False), text)
+    _emit(payload, _merged(args, config, "json", False), _verdict_text(verdict))
     return EXIT_OK
 
 
@@ -337,37 +308,6 @@ def _fixed_locus_rows(spec, genus: int) -> list[dict]:
     return rows
 
 
-def _oracle_mismatches(spec, genus: int) -> list[str]:
-    """Brute-force recounts of every per-factor codimension contribution."""
-    problems = []
-    for element in spec.full_center_subgroup():
-        if element.is_identity or not element.torus_trivial:
-            continue
-        orders = per_factor_orders(element, spec.factors)
-        for i, (n, ell) in enumerate(zip(spec.factors, orders)):
-            if genus == 1:
-                closed_dim = (2 * n - 2) - (2 * n - 2 * (n // ell))
-                a = element.ss_part[i]
-                for pair in ((a, 0), (0, a)):
-                    counted = genus1_orbit_oracle(n, pair)
-                    if counted != closed_dim:
-                        problems.append(
-                            f"genus-1 factor {i}: orbit count {counted} vs "
-                            f"formula {closed_dim} for twist {element.ss_part} "
-                            f"as pair {pair}"
-                        )
-            else:
-                closed = codim_highgenus_from_orders([n], [ell], genus)
-                counted = fixed_tangent_oracle(n, ell, genus)
-                numeric = fixed_point_tangent_check(n, ell, genus)
-                if counted != closed or numeric != closed:
-                    problems.append(
-                        f"factor {i}: tangent counts {counted}/{numeric} vs "
-                        f"formula {closed} for order-{ell} twist"
-                    )
-    return problems
-
-
 def _cmd_fixed_loci(args, config) -> int:
     spec = _resolve_spec(args, config)
     genus = _resolve_genus(args, config)
@@ -390,17 +330,15 @@ def _cmd_fixed_loci(args, config) -> int:
     else:
         lines.append(f"minimum codimension: {best[0]} at {best[1].ss_part}")
 
+    problems = []
     if _merged(args, config, "oracle", False):
-        problems = _oracle_mismatches(spec, genus)
-        payload["oracle_mismatches"] = problems
-        if problems:
-            _emit(payload, _merged(args, config, "json", False), "\n".join(lines))
-            for p in problems:
-                print(f"error[oracle]: {p}", file=sys.stderr)
-            return EXIT_VERIFY_FAILURE
-        lines.append("oracle cross-checks passed")
+        problems = payload["oracle_mismatches"] = oracle_mismatches(spec, genus)
+        if not problems:
+            lines.append("oracle cross-checks passed")
     _emit(payload, _merged(args, config, "json", False), "\n".join(lines))
-    return EXIT_OK
+    for p in problems:
+        print(f"error[oracle]: {p}", file=sys.stderr)
+    return EXIT_VERIFY_FAILURE if problems else EXIT_OK
 
 
 def _cmd_presets(args, config) -> int:
@@ -410,206 +348,29 @@ def _cmd_presets(args, config) -> int:
     return EXIT_OK
 
 
-# --------------------------------------------------------------------------
-# verification suites
-
-
-def _trial_seed(master: int, *indices: int) -> int:
-    x = master % (2**63)
-    for k in indices:
-        x = (x * 1_000_003 + k + 1) % (2**63)
-    return x
-
-
-def _cohomology_records(sizes, genera, trials, master_seed) -> list[dict]:
-    records = []
-    for n in sizes:
-        for genus in genera:
-            if genus < 2:
-                raise CliInputError(
-                    "genus",
-                    "cohomology suite needs genus >= 2 "
-                    "(no irreducible points exist at genus one)",
-                )
-            expected_h1 = 2 * (genus - 1) * (n * n - 1)
-            for trial in range(trials):
-                rec = {
-                    "suite": "cohomology",
-                    "kind": "irreducible-random",
-                    "n": n,
-                    "genus": genus,
-                    "trial": trial,
-                    "resamples": 0,
-                    "failures": [],
-                }
-                rep = None
-                for attempt in range(_MAX_RESAMPLES):
-                    seed = _trial_seed(master_seed, 1, n, genus, trial, attempt)
-                    try:
-                        candidate = newton_refine_rep(
-                            sample_random_rep(n, genus, seed=seed), tol=1e-12
-                        )
-                    except ConvergenceError:
-                        rec["resamples"] += 1
-                        continue
-                    if centralizer_dim(candidate, mode="gl", seed=seed) == 1:
-                        rep = candidate
-                        rec["seed"] = seed
-                        break
-                    rec["resamples"] += 1
-                if rep is None:
-                    rec["failures"].append("no irreducible point found")
-                else:
-                    report = cohomology_dims(rep)
-                    rec.update(
-                        {
-                            "relator_residual": rep.relator_residual(),
-                            "h": [report.h0, report.h1, report.h2],
-                            "expected_h1": expected_h1,
-                            "euler_residual": report.euler_residual,
-                            "singular_value_gap": report.to_json()[
-                                "singular_value_gap"
-                            ],
-                            "reliable": report.reliable,
-                        }
-                    )
-                    if rec["relator_residual"] > 1e-12:
-                        rec["failures"].append("relator residual above 1e-12")
-                    if (report.h0, report.h2) != (0, 0):
-                        rec["failures"].append("nonzero h0 or h2 at irreducible point")
-                    if report.h1 != expected_h1:
-                        rec["failures"].append(
-                            f"h1 = {report.h1}, expected {expected_h1}"
-                        )
-                    if report.euler_residual != 0:
-                        rec["failures"].append("nonzero euler residual")
-                rec["ok"] = not rec["failures"]
-                records.append(rec)
-
-            # one commuting tuple per (n, genus): exact and reducible
-            seed = _trial_seed(master_seed, 2, n, genus)
-            rep = sample_diagonal_rep(n, genus, seed=seed)
-            report = cohomology_dims(rep)
-            rec = {
-                "suite": "cohomology",
-                "kind": "commuting-diagonal",
-                "n": n,
-                "genus": genus,
-                "seed": seed,
-                "relator_residual": rep.relator_residual(),
-                "h": [report.h0, report.h1, report.h2],
-                "euler_residual": report.euler_residual,
-                "singular_value_gap": report.to_json()["singular_value_gap"],
-                "reliable": report.reliable,
-                "failures": [],
-            }
-            if (report.h0, report.h2) != (n - 1, n - 1):
-                rec["failures"].append(f"h0 = {report.h0}, expected {n - 1}")
-            if report.euler_residual != 0:
-                rec["failures"].append("nonzero euler residual")
-            rec["ok"] = not rec["failures"]
-            records.append(rec)
-    return records
-
-
-def _moment_records(sizes, genera, trials, master_seed) -> list[dict]:
-    records = []
-    for n in sizes:
-        for genus in genera:
-            for trial in range(trials):
-                rec = {
-                    "suite": "moment-map",
-                    "n": n,
-                    "genus": genus,
-                    "trial": trial,
-                    "failures": [],
-                }
-                seed = _trial_seed(master_seed, 3, n, genus, trial)
-                rec["seed"] = seed
-                try:
-                    solved = refine_moment_map_point(
-                        sample_moment_start(n, genus, seed=seed, spread=0.3),
-                        tol=1e-8,
-                    )
-                    mres = moment_residual(solved)
-                    rep = mpa_to_surface(solved, tol=1e-7)
-                    rres = rep.relator_residual()
-                    rec["moment_residual"] = mres
-                    rec["relator_residual"] = rres
-                    if mres > 1e-8:
-                        rec["failures"].append("moment residual above 1e-8")
-                    if rres > 1e-7:
-                        rec["failures"].append(
-                            "relator residual above ten times the moment tolerance"
-                        )
-                except (ConvergenceError, ValueError) as exc:
-                    rec["failures"].append(str(exc))
-                rec["ok"] = not rec["failures"]
-                records.append(rec)
-    return records
-
-
-def _fixed_loci_records(sizes, genera) -> list[dict]:
-    records = []
-    for n in sizes:
-        for genus in genera:
-            rec = {
-                "suite": "fixed-loci",
-                "n": n,
-                "genus": genus,
-                "checks": 0,
-                "failures": [],
-            }
-            if genus == 1:
-                for a in range(n):
-                    for b in range(n):
-                        ell = lcm(n // gcd(a, n), n // gcd(b, n))
-                        closed_dim = (2 * n - 2) - (2 * n - 2 * (n // ell))
-                        counted = genus1_orbit_oracle(n, (a, b))
-                        rec["checks"] += 1
-                        if counted != closed_dim:
-                            rec["failures"].append(
-                                f"pair ({a},{b}): counted {counted}, "
-                                f"formula {closed_dim}"
-                            )
-            else:
-                for ell in range(1, n + 1):
-                    if n % ell:
-                        continue
-                    closed = codim_highgenus_from_orders([n], [ell], genus)
-                    counted = fixed_tangent_oracle(n, ell, genus)
-                    numeric = fixed_point_tangent_check(n, ell, genus)
-                    rec["checks"] += 1
-                    if counted != closed or numeric != closed:
-                        rec["failures"].append(
-                            f"order {ell}: counted {counted}, numeric {numeric}, "
-                            f"formula {closed}"
-                        )
-            rec["ok"] = not rec["failures"]
-            records.append(rec)
-    return records
-
-
 def _cmd_verify(args, config) -> int:
     suite = _merged(args, config, "suite", required=True)
-    if suite not in _VERIFY_SUITES:
+    if suite not in SUITES:
         raise CliInputError("usage", f"unknown suite {suite!r}")
     sizes = _parse_int_list(_merged(args, config, "sizes", "2"), "n")
     genera = _parse_int_list(_merged(args, config, "genera", "2"), "genus")
+    if min(sizes) < 2:
+        raise CliInputError("usage", f"--n values must be >= 2, got {min(sizes)}")
+    if min(genera) < 1:
+        raise CliInputError("genus", f"--genus values must be >= 1, got {min(genera)}")
+    if suite in ("cohomology", "all") and min(genera) < 2:
+        raise CliInputError(
+            "genus",
+            "cohomology suite needs genus >= 2 "
+            "(no irreducible points exist at genus one)",
+        )
     trials = int(_merged(args, config, "trials", 3))
     if trials < 1:
         raise CliInputError("usage", "--trials must be >= 1")
     master_seed = int(_merged(args, config, "seed", 0))
     strict = bool(_merged(args, config, "strict", False))
 
-    records = []
-    if suite in ("cohomology", "all"):
-        records += _cohomology_records(sizes, genera, trials, master_seed)
-    if suite in ("moment-map", "all"):
-        records += _moment_records(sizes, genera, trials, master_seed)
-    if suite in ("fixed-loci", "all"):
-        records += _fixed_loci_records(sizes, genera)
-
+    records = run_suite(suite, sizes, genera, trials, master_seed)
     failed = [r for r in records if not r["ok"]]
     unreliable = [r for r in records if r.get("reliable") is False]
     ok = not failed and not (strict and unreliable)

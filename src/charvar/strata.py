@@ -13,11 +13,10 @@ degenerates to 2k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .groups import GroupSpec, char_variety_dim, parse_group_spec
+from .groups import GroupSpec, char_variety_dim
 
 
 @dataclass(frozen=True, order=True)
@@ -256,16 +255,8 @@ def strata_table(spec: GroupSpec, genus: int) -> StrataTable:
     """Stratum tables for every SL factor of ``spec``.
 
     Product strata are indexed by one type per factor; they are not
-    materialized here (see iter_product_strata).
+    materialized here.
     """
-    torus_dim = 2 * genus * spec.torus_rank if genus >= 2 else 2 * spec.torus_rank
+    torus_dim = 2 * genus * spec.torus_rank
     tables = tuple((n, factor_strata_table(n, genus)) for n in spec.factors)
     return StrataTable(spec, genus, torus_dim, tables)
-
-
-def iter_product_strata(
-    spec: GroupSpec, genus: int
-) -> Iterator[tuple[StratumInfo, ...]]:
-    """Lazy cartesian product of the per-factor stratum rows."""
-    tables = [factor_strata_table(n, genus) for n in spec.factors]
-    return itertools.product(*tables)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import Verdict, classify_resolution
-from .groups import Decomposition, GroupSpec, canonical_decomposition
+from .groups import GroupSpec, canonical_decomposition
 
 HILBERT_CHOW = "hilbert_chow"
 HILB2_BLOWUP = "hilb2_blowup"
@@ -90,9 +89,6 @@ class TerminalizationPlan:
             "steps": [step.to_json() for step in self.steps],
             "smooth": self.smooth,
         }
-
-    def render(self) -> str:
-        return render_plan(self)
 
 
 def _genus1_leaf(index: int, label: tuple[str, int]) -> Leaf:
@@ -223,9 +219,3 @@ def render_plan(plan: TerminalizationPlan) -> str:
             lines.append(f"  {step.kind}: {step.note}")
     lines.append(f"result: {'smooth' if plan.smooth else 'Q-factorial terminal'}")
     return "\n".join(lines)
-
-
-def plan_and_verdict(
-    spec: GroupSpec, genus: int
-) -> tuple[TerminalizationPlan, Verdict]:
-    return plan_terminalization(spec, genus), classify_resolution(spec, genus)

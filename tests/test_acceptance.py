@@ -34,7 +34,7 @@ from charvar import (
     mpa_to_surface,
     newton_refine_rep,
     parse_group_spec,
-    plan_and_verdict,
+    plan_terminalization,
     refine_moment_map_point,
     sample_diagonal_rep,
     sample_moment_start,
@@ -310,7 +310,8 @@ def criterion_9():
     checks = 0
     for label, spec in specs:
         for genus in (1, 2, 3):
-            plan, verdict = plan_and_verdict(spec, genus)
+            plan = plan_terminalization(spec, genus)
+            verdict = classify_resolution(spec, genus)
             assert plan.smooth == verdict.has_resolution, (label, genus)
             checks += 1
     return f"plan.smooth matches the verdict in {checks} cases"

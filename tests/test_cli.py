@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from charvar import cli
+from charvar import classify, cli, verify
 
 
 def run(capsys, *argv):
@@ -99,6 +99,12 @@ def test_fixed_loci_with_oracle(capsys):
         (),
         ("verify", "--suite", "fixed-loci", "--n", "2,x"),
         ("verify", "--suite", "cohomology", "--n", "2", "--genus", "1"),
+        ("verify", "--suite", "fixed-loci", "--n", "0"),
+        ("verify", "--suite", "fixed-loci", "--n", "-2"),
+        ("verify", "--suite", "fixed-loci", "--n", "1"),
+        ("verify", "--suite", "cohomology", "--n", "1"),
+        ("verify", "--suite", "moment-map", "--genus", "0"),
+        ("verify", "--suite", "moment-map", "--genus", "-1"),
         ("analyze", "--group", "SL(2)", "--genus", "2", "--config", "/no/such/file"),
     ],
 )
@@ -184,7 +190,7 @@ def test_verify_deterministic(capsys):
 
 
 def test_forced_oracle_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "genus1_orbit_oracle", lambda n, pair: 999)
+    monkeypatch.setattr(verify, "genus1_orbit_oracle", lambda n, pair: 999)
     code, out, err = run(
         capsys, "verify", "--suite", "fixed-loci", "--n", "2", "--genus", "1"
     )
@@ -214,18 +220,51 @@ def test_analyze_human_output_mentions_plan(capsys):
 
 
 def test_oracle_checks_second_pair_coordinate(capsys, monkeypatch):
-    real = cli.genus1_orbit_oracle
+    real = verify.genus1_orbit_oracle
 
     def wrong_in_second_coordinate(n, pair):
         return 999 if pair[0] == 0 and pair[1] else real(n, pair)
 
-    monkeypatch.setattr(cli, "genus1_orbit_oracle", wrong_in_second_coordinate)
+    monkeypatch.setattr(verify, "genus1_orbit_oracle", wrong_in_second_coordinate)
     payload = json.loads(
         run(capsys, "fixed-loci", "--group", "PGL(3)", "--genus", "1", "--oracle", "--json")[1]
     )
     problems = payload["oracle_mismatches"]
     assert len(problems) == 2
     assert all("as pair (0, " in p for p in problems)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_oracle_runs_once_per_distinct_case(capsys, monkeypatch):
+    # PGL(2)^5 has 31 kernel twists over 5 factors but only the cases
+    # (n, l) = (2, 1) and (2, 2)
+    tangent = _count_calls(monkeypatch, verify, "fixed_tangent_oracle")
+    numeric = _count_calls(monkeypatch, verify, "fixed_point_tangent_check")
+    code, out, err = run(
+        capsys, "fixed-loci", "--group", "PGL(2)^5", "--genus", "2", "--oracle"
+    )
+    assert code == 0, err
+    assert sorted(tangent) == sorted(numeric) == [(2, 1, 2), (2, 2, 2)]
+
+
+def test_analyze_plans_once_and_scans_the_kernel_at_most_twice(capsys, monkeypatch):
+    plans = _count_calls(monkeypatch, cli, "plan_terminalization")
+    scans = _count_calls(monkeypatch, classify, "min_nonfree_codim")
+    code, out, err = run(capsys, "analyze", "--group", "PGL(2)^5", "--genus", "2")
+    assert code == 0, err
+    assert len(plans) == 1
+    assert len(scans) <= 2
 
 
 def test_all_lists_public_names_only():

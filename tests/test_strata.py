@@ -4,13 +4,11 @@ import pytest
 
 from charvar.groups import char_variety_dim, parse_group_spec
 from charvar.strata import (
-    StratumInfo,
     WeightedPartition,
     enumerate_weighted_partitions,
     factor_strata_table,
     fiber_dim_bound,
     genus1_stratum_dim_gl,
-    iter_product_strata,
     singular_codim_factor,
     strata_table,
     stratum_codim,
@@ -208,10 +206,3 @@ def test_strata_table_specs():
     assert [r.codim for r in gl.factor_tables[0][1]] == [
         r.codim for r in sl.factor_tables[0][1]
     ]
-
-
-def test_iter_product_strata():
-    spec = parse_group_spec("SL(2)xSL(3)")
-    combos = list(iter_product_strata(spec, 2))
-    assert len(combos) == 3 * 5
-    assert all(isinstance(row, StratumInfo) for combo in combos for row in combo)

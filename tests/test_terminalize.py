@@ -10,7 +10,6 @@ from charvar.terminalize import (
     IDENTITY,
     SINGULAR_LOCUS_BLOWUP,
     TORUS_PRODUCT,
-    plan_and_verdict,
     plan_terminalization,
     render_plan,
 )
@@ -136,7 +135,8 @@ def test_smooth_iff_resolution_everywhere():
     """The planner and the classifier must agree on every small quotient."""
     for spec in small_group_catalog():
         for genus in (1, 2, 3):
-            plan, verdict = plan_and_verdict(spec, genus)
+            plan = plan_terminalization(spec, genus)
+            verdict = classify_resolution(spec, genus)
             assert plan.smooth == verdict.has_resolution, (
                 spec.factors,
                 spec.central_generators,
