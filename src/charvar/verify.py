@@ -55,7 +55,8 @@ def _record(suite: str, n: int, genus: int, **fields) -> dict:
 
 
 def genus1_pair_mismatch(n: int, pair: tuple[int, int]) -> Optional[str]:
-    """Orbit count against (2n-2) - (2n - 2(n/l)) for one SL(n) twist pair."""
+    """Orbit count against (2n-2) - (2n - 2(n/l)) for one SL(n) twist pair;
+    a message on disagreement, else None."""
     a, b = pair
     ell = lcm(n // gcd(a, n), n // gcd(b, n))
     closed = (2 * n - 2) - (2 * n - 2 * (n // ell))
@@ -67,7 +68,7 @@ def genus1_pair_mismatch(n: int, pair: tuple[int, int]) -> Optional[str]:
 
 def order_mismatch(n: int, ell: int, genus: int) -> Optional[str]:
     """Tangent oracle and numeric tangent count against the closed form for
-    one order-l twist of SL(n) at genus >= 2."""
+    one order-l twist of SL(n) at genus >= 2; a message unless all agree."""
     closed = codim_highgenus_from_orders([n], [ell], genus)
     counted = fixed_tangent_oracle(n, ell, genus)
     numeric = fixed_point_tangent_check(n, ell, genus)
