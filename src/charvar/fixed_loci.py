@@ -207,11 +207,7 @@ def fixed_tangent_oracle(n: int, ell: int, genus: int) -> Optional[int]:
         raise ValueError(f"order must be >= 1, got {ell}")
     best: Optional[int] = None
     for m in _compositions(n, ell):
-        shifts = [
-            k
-            for k in range(ell)
-            if all(m[i] == m[(i + k) % ell] for i in range(ell))
-        ]
+        shifts = [k for k in range(ell) if m[k:] + m[:k] == m]
         if not _has_unit_gcd_tuple(shifts, ell, 2 * genus):
             continue
         value = sum(x * x for x in m)

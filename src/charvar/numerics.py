@@ -495,8 +495,7 @@ def coboundary_matrix(
     """d0: stacked blocks (I - Ad(gen)) of shape (2g d, d)."""
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
-    eye = np.eye(basis.shape[0])
-    return np.vstack([eye - adjoint_matrix(g, basis) for g in rep.generators()])
+    return _coboundary(_generator_adjoints(rep, basis)[0])
 
 
 def cocycle_matrix(
@@ -510,14 +509,32 @@ def cocycle_matrix(
     """
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
-    d = basis.shape[0]
+    return _cocycle(rep.genus, *_generator_adjoints(rep, basis))
+
+
+def _generator_adjoints(
+    rep: SurfaceRep, basis: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Ad(g) and Ad(g^-1) for each generator g, one inverse per generator."""
     gens = rep.generators()
     invs = [np.linalg.inv(g) for g in gens]
     adjoints = [_adjoint(g, gi, basis) for g, gi in zip(gens, invs)]
     adjoints_inv = [_adjoint(gi, g, basis) for g, gi in zip(gens, invs)]
-    coeffs = [np.zeros((d, d), dtype=complex) for _ in gens]
+    return adjoints, adjoints_inv
+
+
+def _coboundary(adjoints: list[np.ndarray]) -> np.ndarray:
+    eye = np.eye(adjoints[0].shape[0])
+    return np.vstack([eye - ad for ad in adjoints])
+
+
+def _cocycle(
+    genus: int, adjoints: list[np.ndarray], adjoints_inv: list[np.ndarray]
+) -> np.ndarray:
+    d = adjoints[0].shape[0]
+    coeffs = [np.zeros((d, d), dtype=complex) for _ in adjoints]
     prefix = np.eye(d, dtype=complex)
-    for j, exp in surface_relator_word(rep.genus):
+    for j, exp in surface_relator_word(genus):
         if exp == 1:
             coeffs[j] = coeffs[j] + prefix
             prefix = prefix @ adjoints[j]
@@ -583,8 +600,9 @@ def cohomology_dims(
     basis = lie_basis(rep.n, rep.det_mode)
     d = basis.shape[0]
     g = rep.genus
-    r0, gap0 = _svd_rank(coboundary_matrix(rep, basis), rank_tol)
-    r1, gap1 = _svd_rank(cocycle_matrix(rep, basis), rank_tol)
+    adjoints, adjoints_inv = _generator_adjoints(rep, basis)
+    r0, gap0 = _svd_rank(_coboundary(adjoints), rank_tol)
+    r1, gap1 = _svd_rank(_cocycle(g, adjoints, adjoints_inv), rank_tol)
     h0 = d - r0
     h1 = 2 * g * d - r0 - r1
     h2 = d - r1

@@ -78,20 +78,22 @@ def enumerate_weighted_partitions(n: int) -> list[WeightedPartition]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return [WeightedPartition(parts) for parts in _weighted_parts(n, n, n)]
 
-    def rec(remaining: int, vmax: int, lmax: int) -> Iterator[tuple]:
-        if remaining == 0:
-            yield ()
-            return
-        for v in range(min(vmax, remaining), 0, -1):
-            ltop = remaining // v
-            if v == vmax:
-                ltop = min(ltop, lmax)
-            for l in range(ltop, 0, -1):
-                for tail in rec(remaining - l * v, v, l):
-                    yield ((l, v),) + tail
 
-    return [WeightedPartition(parts) for parts in rec(n, n, n)]
+def _weighted_parts(remaining: int, vmax: int, lmax: int) -> Iterator[tuple]:
+    """Canonical part tuples summing to ``remaining``, with dimensions at most
+    ``vmax`` and, at dimension ``vmax``, multiplicities at most ``lmax``."""
+    if remaining == 0:
+        yield ()
+        return
+    for v in range(min(vmax, remaining), 0, -1):
+        ltop = remaining // v
+        if v == vmax:
+            ltop = min(ltop, lmax)
+        for l in range(ltop, 0, -1):
+            for tail in _weighted_parts(remaining - l * v, v, l):
+                yield ((l, v),) + tail
 
 
 def stratum_dim_gl(nu: WeightedPartition, genus: int) -> int:
@@ -110,21 +112,16 @@ def stratum_codim(nu: WeightedPartition, genus: int, n: Optional[int] = None) ->
     """Codimension 2(g-1) sum_{i,j} (l_i l_j - delta_ij) v_i v_j - 2(k-1).
 
     For g >= 2 this equals char_variety_dim(GL(n), g) - stratum_dim_gl(nu, g);
-    the double sum collapses to n^2 - sum_t v_t^2 since n = sum_t l_t v_t.
+    the double sum collapses to n^2 - sum_t v_t^2 since n = sum_t l_t v_t,
+    and the collapsed form is what is computed.
     """
-    if n is not None and n != nu.total:
+    total = nu.total
+    if n is not None and n != total:
         raise ValueError(f"partition {nu} does not sum to {n}")
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
-    mults = [m for m, _ in nu.parts]
-    dims = [d for _, d in nu.parts]
-    k = nu.k
-    s = 0
-    for i in range(k):
-        for j in range(k):
-            coeff = mults[i] * mults[j] - (1 if i == j else 0)
-            s += coeff * dims[i] * dims[j]
-    return 2 * (genus - 1) * s - 2 * (k - 1)
+    square_sum = sum(d * d for _, d in nu.parts)
+    return 2 * (genus - 1) * (total * total - square_sum) - 2 * (nu.k - 1)
 
 
 def genus1_stratum_dim_gl(nu: WeightedPartition) -> Optional[int]:
@@ -145,6 +142,12 @@ def singular_codim_factor(n: int, genus: int) -> Optional[int]:
     None means the factor is smooth (only n = 1).  At genus one the closest
     degenerate stratum merges two of the n points, dropping the dimension by
     exactly 2 for every n >= 2.
+
+    For g >= 2 it is 4(g-1)(n-1) - 2, the codimension of (1,n-1; 1,1).  That
+    is the minimum of stratum_codim = 2(g-1)(n^2 - sum_t v_t^2) - 2(k-1) over
+    the non-generic types: since n >= sum_t v_t, k >= 2 summands give
+    n^2 - sum_t v_t^2 >= 2(n-1) + (k-2), and one summand of multiplicity
+    l >= 2 gives n^2 - v^2 >= 3n^2/4 > 2(n-1).
     """
     if n < 1 or genus < 1:
         raise ValueError("need n >= 1 and genus >= 1")
@@ -152,11 +155,7 @@ def singular_codim_factor(n: int, genus: int) -> Optional[int]:
         return None
     if genus == 1:
         return 2
-    return min(
-        stratum_codim(nu, genus)
-        for nu in enumerate_weighted_partitions(n)
-        if not nu.is_generic
-    )
+    return 4 * (genus - 1) * (n - 1) - 2
 
 
 def fiber_dim_bound(nu: WeightedPartition, genus: int) -> tuple[int, int]:
@@ -198,34 +197,42 @@ class StratumInfo:
 
 
 def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
-    """Strata of one SL(n)/GL(n) factor.  Genus one lists populated types only."""
+    """Strata of one SL(n)/GL(n) factor.  Genus one lists populated types only.
+
+    Every row number comes from k and sum_t v_t^2 alone: the dimensions of
+    stratum_dim_gl and stratum_dim_sl, the codimension of stratum_codim and
+    the bounds of fiber_dim_bound.  At genus one the walk takes only the
+    all-v_t = 1 branch of the enumeration, in the same order.
+    """
     if n < 1 or genus < 1:
         raise ValueError("need n >= 1 and genus >= 1")
     rows = []
     if genus == 1:
         ambient = 2 * n  # GL(n) at genus one: n unordered points of (C*)^2
-        for nu in enumerate_weighted_partitions(n):
-            dim = genus1_stratum_dim_gl(nu)
-            if dim is None:
-                continue
+        for parts in _weighted_parts(n, 1, n):
+            dim = 2 * len(parts)
             codim = ambient - dim
             rows.append(
-                StratumInfo(nu, dim, dim - 2, codim, None, codim == 0)
+                StratumInfo(WeightedPartition(parts), dim, dim - 2, codim, None, codim == 0)
             )
-    else:
-        for nu in enumerate_weighted_partitions(n):
-            dim = stratum_dim_gl(nu, genus)
-            codim = stratum_codim(nu, genus)
-            rows.append(
-                StratumInfo(
-                    nu,
-                    dim,
-                    stratum_dim_sl(nu, genus),
-                    codim,
-                    fiber_dim_bound(nu, genus),
-                    codim == 0,
-                )
+        return tuple(rows)
+    square = n * n
+    for nu in enumerate_weighted_partitions(n):
+        k = nu.k
+        square_sum = sum(d * d for _, d in nu.parts)
+        dim = 2 * (k + (genus - 1) * square_sum)
+        codim = 2 * (genus - 1) * (square - square_sum) - 2 * (k - 1)
+        fiber = (genus - 1) * square_sum + k
+        rows.append(
+            StratumInfo(
+                nu,
+                dim,
+                dim - 2 * genus,
+                codim,
+                (square * genus - fiber, square * genus + fiber),
+                codim == 0,
             )
+        )
     return tuple(rows)
 
 

@@ -1,6 +1,11 @@
 """Exit codes, JSON shapes, config merging, and determinism of the CLI."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,12 +111,25 @@ def test_fixed_loci_with_oracle(capsys):
         ("verify", "--suite", "moment-map", "--genus", "0"),
         ("verify", "--suite", "moment-map", "--genus", "-1"),
         ("analyze", "--group", "SL(2)", "--genus", "2", "--config", "/no/such/file"),
+        ("strata", "--group", "SL(60)", "--genus", "2"),
+        ("analyze", "--group", "SL(2)xSL(60)", "--genus", "2"),
     ],
 )
 def test_input_errors_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error[")
+
+
+def test_size_limit_names_n_and_the_limit(capsys):
+    limit = cli.MAX_LISTED_N
+    for command in ("strata", "analyze"):
+        code, out, err = run(capsys, command, "--group", f"SL({limit + 1})", "--genus", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error[size]")
+        assert f"n = {limit + 1}" in err and f"limit {limit}" in err
+    # the limit itself is listed (genus one keeps this quick)
+    assert run(capsys, "strata", "--group", f"SL({limit})", "--genus", "1")[0] == 0
 
 
 def test_malformed_config_exits_1(capsys, tmp_path):
@@ -277,3 +295,89 @@ def test_all_lists_public_names_only():
         assert not isinstance(getattr(charvar, name), types.ModuleType), name
     assert "plan_terminalization" in charvar.__all__
     assert "groups" not in charvar.__all__
+
+
+# strings that exercise every escape the JSON writer must match
+_TEXT = 'ab"\\/\n\t\r\x00\x1f\x7f\u00e9\u2211\U0001f600 '
+_FLOATS = (0.0, -0.0, 1e-300, 5e-324, 0.1, -2.5e17, 1e16, 1.7976931348623157e308,
+           float("nan"), float("inf"), float("-inf"))
+
+
+def _random_value(rnd, depth=0):
+    kind = rnd.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rnd.choice((0, 1, -1, 2**70, -(2**64), rnd.randint(-1000, 1000)))
+    if kind == 1:
+        return rnd.choice((True, False, None))
+    if kind == 2:
+        return rnd.choice(_FLOATS + (rnd.uniform(-1e6, 1e6),))
+    if kind in (3, 4):
+        return "".join(rnd.choice(_TEXT) for _ in range(rnd.randrange(6)))
+    size = rnd.randrange(4)
+    if kind == 5:
+        return [_random_value(rnd, depth + 1) for _ in range(size)]
+    if kind == 6:
+        return tuple(_random_value(rnd, depth + 1) for _ in range(size))
+    return {
+        "".join(rnd.choice(_TEXT) for _ in range(rnd.randrange(4))): _random_value(rnd, depth + 1)
+        for _ in range(size)
+    }
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], (), {"a": {}, "b": [], "c": [[]], "d": {"e": ()}}, [True, 1, False, 0, None],
+     list(_FLOATS), _TEXT, {_TEXT: _TEXT, "": 0}],
+)
+def test_json_writer_matches_stdlib(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_matches_stdlib_on_random_values():
+    rnd = random.Random(20261018)
+    for _ in range(500):
+        value = _random_value(rnd)
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [{1, 2}, object(), b"bytes", 1j, [{"a": {3: "int key"}}], {None: 1}]
+)
+def test_json_writer_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "SL(3)", "genus": 2}))
+    sequence = [
+        ("fixed-loci", "--group", "PGL(3)", "--genus", "2", "--oracle"),
+        ("fixed-loci", "--group", "PGL(3)", "--genus", "2", "--json"),
+        ("classify", "--config", str(cfg), "--json"),
+        ("classify", "--group", "SL(2)", "--genus", "3"),
+        ("verify", "--suite", "fixed-loci", "--n", "2,3", "--genus", "1,2"),
+        ("analyze", "--group", "SL(2)"),  # genus missing: exit 1
+        ("strata", "--group", "GL(2)", "--genus", "2"),
+    ]
+    together = [run(capsys, *argv) for argv in sequence]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv, (code, out, err) in zip(sequence, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "charvar.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert together[5][0] == 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = _count_calls(monkeypatch, cli, "_build_parser")
+    cli._parser.cache_clear()
+    try:
+        for genus in (1, 2, 3, 2):
+            assert run(capsys, "classify", "--group", "SL(2)", "--genus", str(genus))[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1

@@ -118,9 +118,15 @@ def _run(argv) -> bytes:
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_output(name):
+def test_golden_output(name, monkeypatch):
+    # the CLI's JSON writer must give the stdlib's bytes on the real payload
+    writer = cli._json_text
+    payloads = []
+    monkeypatch.setattr(cli, "_json_text", lambda p: payloads.append(p) or writer(p))
     expected = (GOLDEN / f"{name}.json").read_bytes()
     assert _run(COMMANDS[name]) == expected
+    [payload] = payloads
+    assert writer(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_every_golden_file_has_a_command():

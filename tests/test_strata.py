@@ -87,8 +87,29 @@ def test_stratum_codim_values():
         stratum_codim(P((1, 2)), 2, n=3)
 
 
+def double_sum_codim(nu, genus):
+    """The codimension as the double sum
+    2(g-1) sum_{i,j} (l_i l_j - delta_ij) v_i v_j - 2(k-1)."""
+    mults = [m for m, _ in nu.parts]
+    dims = [d for _, d in nu.parts]
+    k = nu.k
+    s = 0
+    for i in range(k):
+        for j in range(k):
+            coeff = mults[i] * mults[j] - (1 if i == j else 0)
+            s += coeff * dims[i] * dims[j]
+    return 2 * (genus - 1) * s - 2 * (k - 1)
+
+
+def test_collapsed_codim_matches_double_sum():
+    for n in range(1, 13):
+        for nu in enumerate_weighted_partitions(n):
+            for g in range(1, 5):
+                assert stratum_codim(nu, g) == double_sum_codim(nu, g), (nu, g)
+
+
 def test_codim_identity_formula_vs_subtraction():
-    # the double-sum expansion equals ambient dimension minus stratum dimension
+    # the codimension formula equals ambient dimension minus stratum dimension
     for n in range(1, 9):
         gl = parse_group_spec(f"GL({n})") if n >= 2 else parse_group_spec("GL(1)")
         for g in range(2, 5):
@@ -153,6 +174,15 @@ def test_singular_codim_factor():
         assert singular_codim_factor(n, 1) == 2
 
 
+def test_singular_codim_closed_form_is_the_minimum_stratum_codim():
+    for n in range(2, 19):
+        degenerate = [nu for nu in enumerate_weighted_partitions(n) if not nu.is_generic]
+        for g in range(2, 6):
+            expected = min(stratum_codim(nu, g) for nu in degenerate)
+            assert singular_codim_factor(n, g) == expected == 4 * (g - 1) * (n - 1) - 2
+            assert stratum_codim(P((1, n - 1), (1, 1)), g) == expected
+
+
 def test_fiber_dim_bounds():
     # over the open stratum the fiber is a single closed orbit of PGL(n)
     for n in range(1, 7):
@@ -187,6 +217,29 @@ def test_factor_strata_table():
     assert [r.dim_gl for r in rows1] == [2, 4, 6]
     assert [r.codim for r in rows1] == [4, 2, 0]
     assert [r.fiber_bounds for r in rows1] == [None, None, None]
+
+
+def test_factor_table_rows_match_the_row_functions():
+    for n in range(1, 11):
+        for g in range(2, 5):
+            rows = factor_strata_table(n, g)
+            assert [row.nu for row in rows] == enumerate_weighted_partitions(n)
+            for row in rows:
+                assert row.dim_gl == stratum_dim_gl(row.nu, g)
+                assert row.dim_sl == stratum_dim_sl(row.nu, g)
+                assert row.codim == stratum_codim(row.nu, g)
+                assert row.fiber_bounds == fiber_dim_bound(row.nu, g)
+                assert row.is_open == (row.codim == 0)
+
+
+def test_genus1_walk_is_the_filtered_enumeration():
+    for n in range(1, 21):
+        rows = factor_strata_table(n, 1)
+        populated = [nu for nu in enumerate_weighted_partitions(n) if nu.all_dims_one]
+        assert [row.nu for row in rows] == populated
+        for row in rows:
+            assert row.dim_gl == genus1_stratum_dim_gl(row.nu) == 2 * row.nu.k
+            assert row.codim == 2 * n - row.dim_gl
 
 
 def test_strata_table_specs():
