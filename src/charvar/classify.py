@@ -69,12 +69,17 @@ class PropertyFlags:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the resolution decision, with a human-readable witness."""
+    """Outcome of the resolution decision, with a human-readable witness.
+
+    ``flags`` are the singularity flags the decision read; ``to_json``
+    leaves them out (the command line prints them as ``properties``).
+    """
 
     kind: str
     case: Optional[str]
     witness: str
     certificate: Optional[dict]
+    flags: PropertyFlags
 
     @property
     def has_resolution(self) -> bool:
@@ -168,14 +173,14 @@ def classify_resolution(spec: GroupSpec, genus: int) -> Verdict:
     >>> classify_resolution(parse_group_spec("SL(3)"), 2).kind
     'no_resolution'
     """
-    if genus < 1:
-        raise ValueError(f"genus must be >= 1, got {genus}")
+    flags = properties_report(spec, genus)
     if not spec.nonabelian:
         return Verdict(
             kind=SMOOTH_KIND,
             case=None,
             witness="abelian group: the moduli space is a torus, already smooth",
             certificate=None,
+            flags=flags,
         )
     decomp = canonical_decomposition(spec)
     if genus == 1:
@@ -191,6 +196,7 @@ def classify_resolution(spec: GroupSpec, genus: int) -> Verdict:
                     "assemble to a projective symplectic resolution"
                 ),
                 certificate=None,
+                flags=flags,
             )
     if genus == 2 and all(n == 2 for n in spec.factors) and not decomp.ss_kernel.nontrivial:
         return Verdict(
@@ -202,8 +208,8 @@ def classify_resolution(spec: GroupSpec, genus: int) -> Verdict:
                 "projective symplectic resolution"
             ),
             certificate=None,
+            flags=flags,
         )
-    flags = properties_report(spec, genus)
     if flags.terminal:
         argument = "terminal-by-codimension"
         detail = (
@@ -229,4 +235,5 @@ def classify_resolution(spec: GroupSpec, genus: int) -> Verdict:
             "singular_codim": flags.singular_codim,
             "argument": argument,
         },
+        flags=flags,
     )

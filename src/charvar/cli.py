@@ -20,7 +20,7 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-from .classify import classify_resolution, properties_report
+from .classify import classify_resolution
 from .fixed_loci import fixed_codim_genus1, fixed_codim_highgenus, min_nonfree_codim
 from .groups import (
     PRESET_CATALOG,
@@ -322,8 +322,8 @@ def _cmd_analyze(args, config) -> int:
     spec = _resolve_spec(args, config)
     genus = _resolve_genus(args, config)
     _check_listable(spec)
-    flags = properties_report(spec, genus)
     verdict = classify_resolution(spec, genus)
+    flags = verdict.flags
     plan = plan_terminalization(spec, genus)
     report = {
         "group": spec.to_json(),
@@ -381,7 +381,7 @@ def _cmd_classify(args, config) -> int:
     verdict = classify_resolution(spec, genus)
     payload = verdict.to_json()
     payload["citation"] = CITATIONS["verdict"]
-    payload["properties"] = properties_report(spec, genus).to_json()
+    payload["properties"] = verdict.flags.to_json()
     _emit(args, config, payload, lambda: _verdict_text(verdict))
     return EXIT_OK
 

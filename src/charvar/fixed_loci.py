@@ -85,34 +85,33 @@ def codim_genus1_from_orders(factors: Sequence[int], orders: Sequence[int]) -> i
     return sum(2 * (n - n // l) for n, l in zip(factors, orders))
 
 
+def _codim_from_orders(factors: Sequence[int], orders: Sequence[int], genus: int) -> int:
+    if genus == 1:
+        return codim_genus1_from_orders(factors, orders)
+    return codim_highgenus_from_orders(factors, orders, genus)
+
+
+def _fixed_codim(twist: TwistLike, factors: Sequence[int], genus: int) -> FixedLocusResult:
+    elements = _as_tuple(twist)
+    if any(not e.torus_trivial for e in elements):
+        return FixedLocusResult(None, (), "nontrivial torus coordinate: free twist")
+    orders = per_factor_orders(elements, factors)
+    note = "orbit count per factor" if genus == 1 else "tangent count per factor"
+    return FixedLocusResult(_codim_from_orders(factors, orders, genus), orders, note)
+
+
 def fixed_codim_highgenus(
     twist: TwistLike, factors: Sequence[int], genus: int
 ) -> FixedLocusResult:
     """Codimension of the fixed locus of a central twist, genus >= 2."""
     if genus < 2:
         raise ValueError("use fixed_codim_genus1 for genus one")
-    elements = _as_tuple(twist)
-    if any(not e.torus_trivial for e in elements):
-        return FixedLocusResult(None, (), "nontrivial torus coordinate: free twist")
-    orders = per_factor_orders(elements, factors)
-    return FixedLocusResult(
-        codim_highgenus_from_orders(factors, orders, genus),
-        orders,
-        "tangent count per factor",
-    )
+    return _fixed_codim(twist, factors, genus)
 
 
 def fixed_codim_genus1(twist: TwistLike, factors: Sequence[int]) -> FixedLocusResult:
     """Codimension of the fixed locus of a central twist at genus one."""
-    elements = _as_tuple(twist)
-    if any(not e.torus_trivial for e in elements):
-        return FixedLocusResult(None, (), "nontrivial torus coordinate: free twist")
-    orders = per_factor_orders(elements, factors)
-    return FixedLocusResult(
-        codim_genus1_from_orders(factors, orders),
-        orders,
-        "orbit count per factor",
-    )
+    return _fixed_codim(twist, factors, 1)
 
 
 def min_nonfree_codim(
@@ -124,24 +123,22 @@ def min_nonfree_codim(
     componentwise orders no larger than the tuple's lcm orders, so the
     minimum over tuples is attained at some single element.  Returns None
     when the kernel is trivial (the whole central action is free).  The
-    witness is the lexicographically least minimizer.
+    witness is the lexicographically least minimizer: the kernel is sorted
+    and ``min`` keeps the first of equal keys.
     """
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
-    candidates = [e for e in decomp.ss_kernel if not e.is_identity]
+    candidates = decomp.ss_kernel.elements[1:]  # the sorted kernel starts at 0
     if not candidates:
         return None
     factors = decomp.factors
-    best: Optional[tuple[int, CentralElement]] = None
-    for tau in candidates:
+
+    def codim(tau: CentralElement) -> int:
         orders = [n // gcd(a, n) for a, n in zip(tau.ss_part, factors)]
-        if genus == 1:
-            codim = codim_genus1_from_orders(factors, orders)
-        else:
-            codim = codim_highgenus_from_orders(factors, orders, genus)
-        if best is None or (codim, tau) < best:
-            best = (codim, tau)
-    return best
+        return _codim_from_orders(factors, orders, genus)
+
+    tau = min(candidates, key=codim)
+    return codim(tau), tau
 
 
 # ---------------------------------------------------------------------------

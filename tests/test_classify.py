@@ -1,5 +1,7 @@
 """Resolution classification: frozen verdicts plus an independent recheck."""
 
+import pytest
+
 from charvar.classify import (
     NO_RESOLUTION_KIND,
     RESOLUTION_KIND,
@@ -205,6 +207,22 @@ def test_torus_mutation_keeps_verdict():
             b = classify_resolution(mutated, genus)
             assert a.kind == b.kind, (spec.factors, genus)
             assert a.case == b.case, (spec.factors, genus)
+
+
+def test_verdict_carries_the_property_flags():
+    abelian = [
+        parse_group_spec("GL(1)"),
+        parse_group_spec("GL(1)^3"),
+        parse_group_spec('{"torus_rank": 2, "central_generators": [{"torus": ["1/2", "1/3"]}]}'),
+    ]
+    for spec in list(small_group_catalog()) + abelian:
+        for genus in (1, 2, 3):
+            verdict = classify_resolution(spec, genus)
+            assert verdict.flags == properties_report(spec, genus), (spec, genus)
+            assert "flags" not in verdict.to_json()
+    for spec in (parse_group_spec("SL(2)"), abelian[0]):
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            classify_resolution(spec, 0)
 
 
 # ------------------------------------------- independent reimplementation

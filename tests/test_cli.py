@@ -253,6 +253,8 @@ def test_oracle_checks_second_pair_coordinate(capsys, monkeypatch):
 
 
 def _count_calls(monkeypatch, module, name):
+    """Count calls to ``module.name`` made through any charvar module that
+    binds the same function."""
     calls = []
     real = getattr(module, name)
 
@@ -260,7 +262,9 @@ def _count_calls(monkeypatch, module, name):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("charvar") and vars(mod).get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -276,13 +280,23 @@ def test_oracle_runs_once_per_distinct_case(capsys, monkeypatch):
     assert sorted(tangent) == sorted(numeric) == [(2, 1, 2), (2, 2, 2)]
 
 
-def test_analyze_plans_once_and_scans_the_kernel_at_most_twice(capsys, monkeypatch):
+def test_analyze_plans_once_and_scans_the_kernel_once(capsys, monkeypatch):
     plans = _count_calls(monkeypatch, cli, "plan_terminalization")
     scans = _count_calls(monkeypatch, classify, "min_nonfree_codim")
     code, out, err = run(capsys, "analyze", "--group", "PGL(2)^5", "--genus", "2")
     assert code == 0, err
     assert len(plans) == 1
-    assert len(scans) <= 2
+    assert len(scans) == 1
+
+
+def test_classify_reports_properties_once_and_scans_the_kernel_once(capsys, monkeypatch):
+    reports = _count_calls(monkeypatch, classify, "properties_report")
+    scans = _count_calls(monkeypatch, classify, "min_nonfree_codim")
+    code, out, err = run(capsys, "classify", "--group", "PGL(2)^5", "--genus", "2", "--json")
+    assert code == 0, err
+    assert json.loads(out)["properties"]["singular_codim"] == 2
+    assert len(reports) == 1
+    assert len(scans) == 1
 
 
 def test_all_lists_public_names_only():

@@ -16,6 +16,7 @@ from charvar.fixed_loci import (
     per_factor_orders,
 )
 from charvar.groups import Center, GroupSpec, canonical_decomposition, parse_group_spec
+from conftest import mixed_denominator_specs, small_group_catalog
 
 
 def quotient_spec(factors, generators):
@@ -118,6 +119,35 @@ def test_min_nonfree_examples():
     # diagonal sign in SL(2)^2: twist hits both factors, codim 4 + 4
     dec = canonical_decomposition(quotient_spec([2, 2], [(1, 1)]))
     assert min_nonfree_codim(dec, 2)[0] == 8
+
+
+def brute_force_min_twist(decomp, genus):
+    """Least (codim, twist) pair over nontrivial kernel twists, by tuple compare."""
+    factors = decomp.factors
+    best = None
+    for tau in decomp.ss_kernel:
+        if tau.is_identity:
+            continue
+        orders = per_factor_orders(tau, factors)
+        if genus == 1:
+            codim = codim_genus1_from_orders(factors, orders)
+        else:
+            codim = codim_highgenus_from_orders(factors, orders, genus)
+        if best is None or (codim, tau) < best:
+            best = (codim, tau)
+    return best
+
+
+def test_min_nonfree_matches_brute_force_witness():
+    specs = list(small_group_catalog()) + mixed_denominator_specs()
+    nonfree = 0
+    for spec in specs:
+        dec = canonical_decomposition(spec)
+        for g in (1, 2, 3):
+            want = brute_force_min_twist(dec, g)
+            assert min_nonfree_codim(dec, g) == want, (spec, g)
+            nonfree += want is not None
+    assert nonfree > len(specs)  # more than a third of the kernels are nontrivial
 
 
 def test_min_nonfree_lower_bound_and_equality():
