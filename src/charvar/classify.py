@@ -23,12 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .fixed_loci import min_nonfree_codim
-from .groups import (
-    Decomposition,
-    GroupSpec,
-    canonical_decomposition,
-    is_sl2_center_product,
-)
+from .groups import Decomposition, GroupSpec, canonical_decomposition
 from .strata import singular_codim_factor
 
 SMOOTH_KIND = "smooth"
@@ -183,21 +178,20 @@ def classify_resolution(spec: GroupSpec, genus: int) -> Verdict:
             flags=flags,
         )
     decomp = canonical_decomposition(spec)
-    if genus == 1:
-        slots = is_sl2_center_product(decomp.ss_kernel, spec.factors)
-        if slots is not None:
-            return Verdict(
-                kind=RESOLUTION_KIND,
-                case=GENUS1_CASE,
-                witness=(
-                    "genus one with semisimple quotient "
-                    f"{_factor_label(decomp)}: Hilbert-Chow morphisms per SL "
-                    "factor and the small resolution of each PGL(2) factor "
-                    "assemble to a projective symplectic resolution"
-                ),
-                certificate=None,
-                flags=flags,
-            )
+    if genus == 1 and decomp.reduced_kernel_order == 1:
+        # the sign flips of decomp.pgl2_indices exhaust the kernel
+        return Verdict(
+            kind=RESOLUTION_KIND,
+            case=GENUS1_CASE,
+            witness=(
+                "genus one with semisimple quotient "
+                f"{_factor_label(decomp)}: Hilbert-Chow morphisms per SL "
+                "factor and the small resolution of each PGL(2) factor "
+                "assemble to a projective symplectic resolution"
+            ),
+            certificate=None,
+            flags=flags,
+        )
     if genus == 2 and all(n == 2 for n in spec.factors) and not decomp.ss_kernel.nontrivial:
         return Verdict(
             kind=RESOLUTION_KIND,

@@ -280,8 +280,14 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(value[key], inner, out)
+            item = value[key]
+            head = sep + _encode_str(key) + ": "
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(head)
+                _write_json(item, inner, out)
+            else:
+                out.append(head + scalar(item))
             sep = "," + inner
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -291,12 +297,27 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write_json(item, inner, out)
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(sep)
+                _write_json(item, inner, out)
+            else:
+                out.append(sep + scalar(item))
             sep = "," + inner
         out.append(pad + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+# children of exactly these types are written inline, without recursing;
+# subclasses (an IntEnum, say) take the isinstance path above
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: _LITERALS.__getitem__,
+    type(None): _LITERALS.__getitem__,
+}
 
 
 def _float_text(x: float) -> str:

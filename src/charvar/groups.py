@@ -158,8 +158,8 @@ class Center:
         h = self.torus_rank
         elements.sort()
         angles = {k: Fraction(k, denom) for x in elements for k in x[:h]}
-        return CentralSubgroup(
-            CentralElement(tuple(angles[k] for k in x[:h]), x[h:]) for x in elements
+        return CentralSubgroup._sorted(
+            tuple(CentralElement(tuple(angles[k] for k in x[:h]), x[h:]) for x in elements)
         )
 
 
@@ -168,6 +168,13 @@ class CentralSubgroup:
 
     def __init__(self, elements: Iterable[CentralElement]):
         self.elements = tuple(sorted(elements))
+
+    @classmethod
+    def _sorted(cls, elements: tuple[CentralElement, ...]) -> "CentralSubgroup":
+        """Wrap a tuple of elements that is already sorted, without re-sorting."""
+        sub = cls.__new__(cls)
+        sub.elements = elements
+        return sub
 
     @cached_property
     def _set(self) -> frozenset[CentralElement]:
@@ -319,7 +326,8 @@ def canonical_decomposition(
     full = spec.full_center_subgroup(cap)
     decomp = spec.__dict__.get("_decomposition")
     if decomp is None:
-        ss_kernel = CentralSubgroup(e for e in full if e.torus_trivial)
+        # a filtered sorted tuple is still sorted
+        ss_kernel = CentralSubgroup._sorted(tuple(e for e in full if e.torus_trivial))
         decomp = Decomposition(
             spec=spec,
             full_center=full,

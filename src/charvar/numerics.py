@@ -9,8 +9,14 @@ with [A, B] = A B A^-1 B^-1.  This module refines approximate tuples onto
 the relation variety with a damped Gauss-Newton iteration (analytic
 Jacobians, no finite differences), computes group cohomology ranks at a
 point via Fox derivatives of the relator, and measures centralizers.
-The relator is holomorphic, so its steps solve (J J^H + lambda I) y = F in
-complex arithmetic; adjoint matrices use the Kronecker form kron(g, g^-T).
+The relator is holomorphic, so its steps solve the normal equations
+(J J^H + lambda I) y = F in complex arithmetic.  Its Jacobian is never
+formed: each generator block is a sum of Kronecker products,
+J_t = sum_a kron(P_ta, Q_ta), so the Gram matrix is
+J J^H = sum_t sum_{a,b} kron(P_ta P_tb^H, Q_ta Q_tb^H), an O(g n^4) assembly
+where the dense product costs O(g n^6), and J^H y is sum_a P_ta^H Y conj(Q_ta).
+The Gram is computed once per accepted point and reused by every trial step
+from it.  Adjoint matrices use the Kronecker form kron(g, g^-T).
 
 There is also a second coordinate system: tuples A_1..A_g with
 
@@ -30,7 +36,7 @@ per matrix.  Matrices are ordered A_1, B_1, A_2, B_2, ...
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,16 +233,67 @@ def shift_matrix(n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Damped Gauss-Newton: complex J J^H solves, real lift for the moment map
+# Damped Gauss-Newton on the normal equations (J J^H + lambda I) y = F
 
-SystemFn = Callable[[list[np.ndarray]], tuple[np.ndarray, np.ndarray]]
+class _DenseJacobian:
+    """An explicit Jacobian matrix (the moment map's real lift)."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def gram(self) -> np.ndarray:
+        """J J^H."""
+        return self.matrix @ self.matrix.conj().T
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """J^H y."""
+        return self.matrix.conj().T @ y
+
+
+class _KroneckerJacobian:
+    """J = [J_1 ... J_T] with J_t = sum_a kron(P[t, a], Q[t, a]), never formed.
+
+    P and Q have shape (T, k, n, n), k terms per block.  By the
+    mixed-product rule J J^H = sum_t sum_{a,b} kron(P_ta P_tb^H, Q_ta Q_tb^H):
+    the n x n products are one batched matmul per factor, their sum of
+    Kronecker products is one GEMM with inner dimension T k^2 followed by an
+    axis transpose, O(T n^4) in all where the dense product costs O(T n^6).
+    By the vec identity J_t^H y = sum_a vec(P_ta^H Y conj(Q_ta)), Y = y as
+    an n x n matrix (Van Loan, "The ubiquitous Kronecker product",
+    J. Comput. Appl. Math. 123, 2000).
+    """
+
+    def __init__(self, P: np.ndarray, Q: np.ndarray):
+        self.P = P
+        self.Q = Q
+
+    def gram(self) -> np.ndarray:
+        """J J^H."""
+        P, Q = self.P, self.Q
+        n = P.shape[-1]
+        PP = P[:, :, None] @ P.conj().swapaxes(-1, -2)[:, None]
+        QQ = Q[:, :, None] @ Q.conj().swapaxes(-1, -2)[:, None]
+        # entry ((i, j), (k, l)) is sum_m PP_m[i, j] QQ_m[k, l]
+        G = PP.reshape(-1, n * n).T @ QQ.reshape(-1, n * n)
+        return G.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """J^H y, one vec(M_t) block per generator."""
+        n = self.P.shape[-1]
+        terms = self.P.conj().swapaxes(-1, -2) @ y.reshape(n, n) @ self.Q.conj()
+        return terms.sum(axis=1).reshape(-1)
+
+
+Jacobian = Union[_DenseJacobian, _KroneckerJacobian]
+# a system maps the stacked iterate, shape (count, n, n), to (F, Jacobian)
+SystemFn = Callable[[np.ndarray], tuple[np.ndarray, Jacobian]]
 
 
 def _lift_real(
     residual: np.ndarray,
     holo_blocks: Sequence[np.ndarray],
     anti_blocks: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, _DenseJacobian]:
     """Real residual and Jacobian from complex Wirtinger blocks.
 
     holo_blocks[t] differentiates the residual against vec(M_t),
@@ -248,22 +305,23 @@ def _lift_real(
     for C, D in zip(holo_blocks, anti_blocks):
         s, d = C + D, C - D
         cols += [np.vstack([s.real, s.imag]), np.vstack([-d.imag, d.real])]
-    return F, np.hstack(cols)
+    return F, _DenseJacobian(np.hstack(cols))
 
 
-def _apply_step(mats: list[np.ndarray], delta: np.ndarray) -> list[np.ndarray]:
-    steps = delta.reshape(len(mats), -1)
+def _apply_step(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(delta):
         # a real step holds (Re vec dM, Im vec dM) per matrix
-        half = steps.shape[1] // 2
-        steps = steps[:, :half] + 1j * steps[:, half:]
-    return [m + s.reshape(m.shape) for m, s in zip(mats, steps)]
+        steps = delta.reshape(len(mats), 2, -1)
+        delta = steps[:, 0] + 1j * steps[:, 1]
+    return mats + delta.reshape(mats.shape)
 
 
-def _gauss_newton_step(F: np.ndarray, J: np.ndarray, lam: float) -> np.ndarray:
-    """Minimum-norm damped step: (J J^H + lam I) y = F, delta = -J^H y."""
-    JH = J.conj().T
-    return -(JH @ np.linalg.solve(J @ JH + lam * np.eye(J.shape[0]), F))
+def _gauss_newton_step(
+    F: np.ndarray, gram: np.ndarray, jac: Jacobian, lam: float
+) -> np.ndarray:
+    """Minimum-norm damped step: (J J^H + lam I) y = F, delta = -J^H y,
+    with gram = J J^H."""
+    return -jac.rmatvec(np.linalg.solve(gram + lam * np.eye(len(F)), F))
 
 
 def _damped_gauss_newton(
@@ -271,39 +329,44 @@ def _damped_gauss_newton(
     system: SystemFn,
     tol: float,
     max_iter: int = 100,
-    retract: Optional[Callable[[list[np.ndarray]], list[np.ndarray]]] = None,
+    retract: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> list[np.ndarray]:
     """Minimum-norm Gauss-Newton steps with a multiplicative trust damper.
 
-    The step solves (J J^H + lambda I) y = F, delta = -J^H y: in complex
-    arithmetic for a holomorphic system such as the relator (the iterates of
-    its realification, at half the size), with J^H = J^T on the real lift
-    of the non-holomorphic moment map.  Accepted steps divide lambda by 10
-    (floor 1e-14), rejected ones multiply by 10; past 1e8 the iteration
-    gives up.
+    The step solves the normal equations (J J^H + lambda I) y = F and moves
+    by delta = -J^H y.  The loop asks the Jacobian for two things only: the
+    Gram matrix J J^H and the product J^H y.  The relator is holomorphic, so
+    its J is complex (the iterates of its realification, at half the size)
+    and comes as Kronecker factors that are never multiplied out; the
+    non-holomorphic moment map passes its dense real lift, with J^H = J^T.
+    The Gram is computed once per accepted point and reused by every trial
+    step from it.  Accepted steps divide lambda by 10 (floor 1e-14),
+    rejected ones multiply by 10; past 1e8 the iteration gives up.
     """
-    current = [np.array(m, dtype=complex) for m in mats]
+    current = np.array(mats, dtype=complex)
     if retract is not None:
         current = retract(current)
-    F, J = system(current)
+    F, jac = system(current)
     res = float(np.linalg.norm(F))
     if res <= tol:
-        return current
+        return list(current)
+    gram = jac.gram()
     lam = _LAMBDA_INIT
     for _ in range(max_iter):
         try:
-            candidate = _apply_step(current, _gauss_newton_step(F, J, lam))
+            candidate = _apply_step(current, _gauss_newton_step(F, gram, jac, lam))
             if retract is not None:
                 candidate = retract(candidate)
-            F2, J2 = system(candidate)
+            F2, jac2 = system(candidate)
             res2 = float(np.linalg.norm(F2))
         except np.linalg.LinAlgError:
             res2 = np.inf
         if res2 < res:
-            current, F, J, res = candidate, F2, J2, res2
+            current, F, jac, res = candidate, F2, jac2, res2
             lam = max(lam / 10.0, _LAMBDA_MIN)
             if res <= tol:
-                return current
+                return list(current)
+            gram = jac.gram()
         else:
             lam *= 10.0
             if lam > _LAMBDA_MAX:
@@ -316,38 +379,49 @@ def _damped_gauss_newton(
     )
 
 
-def _sl_retraction(mats: list[np.ndarray]) -> list[np.ndarray]:
+def _sl_retraction(mats: np.ndarray) -> np.ndarray:
     # scaling each matrix leaves every commutator unchanged, so this costs
     # nothing in residual while pinning determinants to 1
-    return [_unit_det(m) for m in mats]
+    return mats / (np.linalg.det(mats) ** (1.0 / mats.shape[-1]))[:, None, None]
 
 
 def _relator_system(genus: int, n: int) -> SystemFn:
     eye = np.eye(n, dtype=complex)
 
-    def system(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def system(mats: np.ndarray) -> tuple[np.ndarray, _KroneckerJacobian]:
+        mats = np.asarray(mats)
+        inverses = np.linalg.inv(mats)
         A, B = mats[0::2], mats[1::2]
-        Ainv, Binv = [np.linalg.inv(a) for a in A], [np.linalg.inv(b) for b in B]
-        K = [A[i] @ B[i] @ Ainv[i] @ Binv[i] for i in range(genus)]
-        left = [eye]
+        Ainv, Binv = inverses[0::2], inverses[1::2]
+        K = A @ B @ Ainv @ Binv
+        # left[i] = K_1 ... K_i, right[i] = K_{i+2} ... K_g (0-based K)
+        left = np.empty((genus + 1, n, n), dtype=complex)
+        left[0] = eye
         for i in range(genus):
-            left.append(left[-1] @ K[i])
-        right = [eye] * genus
+            left[i + 1] = left[i] @ K[i]
+        right = np.empty((genus, n, n), dtype=complex)
+        right[-1] = eye
         for i in range(genus - 2, -1, -1):
             right[i] = K[i + 1] @ right[i + 1]
         residual = (left[genus] - eye).reshape(-1)
 
-        blocks = []
-        for i in range(genus):
-            tail = Ainv[i] @ Binv[i] @ right[i]
-            jac_a = _kron(left[i], (B[i] @ tail).T) - _kron(
-                left[i] @ A[i] @ B[i] @ Ainv[i], tail.T
-            )
-            jac_b = _kron(left[i] @ A[i], tail.T) - _kron(
-                left[i] @ K[i], (Binv[i] @ right[i]).T
-            )
-            blocks.extend((jac_a, jac_b))
-        return residual, np.hstack(blocks)
+        # with L = left[i], R = right[i] and L K = left[i + 1]:
+        # d(L A B A^-1 B^-1 R) = L dA (B A^-1 B^-1 R) - (L K B) dA (A^-1 B^-1 R)
+        #                      + (L A) dB (A^-1 B^-1 R) - (L K) dB (B^-1 R)
+        to_right = Binv @ right
+        tail = Ainv @ to_right
+        P = np.empty((genus, 2, 2, n, n), dtype=complex)
+        Q = np.empty_like(P)
+        P[:, 0, 0] = left[:genus]
+        P[:, 0, 1] = -(left[1:] @ B)
+        P[:, 1, 0] = left[:genus] @ A
+        P[:, 1, 1] = -left[1:]
+        Q[:, 0, 0] = (B @ tail).swapaxes(-1, -2)
+        Q[:, 0, 1] = Q[:, 1, 0] = tail.swapaxes(-1, -2)
+        Q[:, 1, 1] = to_right.swapaxes(-1, -2)
+        return residual, _KroneckerJacobian(
+            P.reshape(2 * genus, 2, n, n), Q.reshape(2 * genus, 2, n, n)
+        )
 
     return system
 
@@ -399,7 +473,7 @@ def _moment_system(count: int, n: int) -> SystemFn:
     # vec(X^T) = vec(X)[tperm]; dA* is the transpose of the entrywise conjugate
     tperm = np.arange(n * n).reshape(n, n).T.reshape(-1)
 
-    def system(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def system(mats: np.ndarray) -> tuple[np.ndarray, _DenseJacobian]:
         stars = [a.conj().T for a in mats]
         P = [eye + a @ s for a, s in zip(mats, stars)]
         Qinv = [np.linalg.inv(eye + s @ a) for a, s in zip(mats, stars)]

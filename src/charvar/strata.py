@@ -46,6 +46,13 @@ class WeightedPartition:
     def of(cls, *parts: tuple[int, int]) -> "WeightedPartition":
         return cls(tuple(parts))
 
+    @classmethod
+    def _canonical(cls, parts: tuple[tuple[int, int], ...]) -> "WeightedPartition":
+        """Wrap parts already positive and in canonical order, unchecked."""
+        nu = object.__new__(cls)
+        object.__setattr__(nu, "parts", parts)
+        return nu
+
     @property
     def k(self) -> int:
         return len(self.parts)
@@ -78,7 +85,7 @@ def enumerate_weighted_partitions(n: int) -> list[WeightedPartition]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return [WeightedPartition(parts) for parts in _weighted_parts(n, n, n)]
+    return [WeightedPartition._canonical(parts) for parts in _weighted_parts(n, n, n)]
 
 
 def _weighted_parts(remaining: int, vmax: int, lmax: int) -> Iterator[tuple]:
@@ -213,7 +220,9 @@ def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
             dim = 2 * len(parts)
             codim = ambient - dim
             rows.append(
-                StratumInfo(WeightedPartition(parts), dim, dim - 2, codim, None, codim == 0)
+                StratumInfo(
+                    WeightedPartition._canonical(parts), dim, dim - 2, codim, None, codim == 0
+                )
             )
         return tuple(rows)
     square = n * n

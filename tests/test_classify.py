@@ -3,6 +3,7 @@
 import pytest
 
 from charvar.classify import (
+    GENUS1_CASE,
     NO_RESOLUTION_KIND,
     RESOLUTION_KIND,
     SMOOTH_KIND,
@@ -14,9 +15,10 @@ from charvar.groups import (
     Center,
     GroupSpec,
     canonical_decomposition,
+    is_sl2_center_product,
     parse_group_spec,
 )
-from conftest import small_group_catalog
+from conftest import mixed_denominator_specs, small_group_catalog
 
 
 def quotient_spec(factors, generators):
@@ -254,6 +256,23 @@ def test_against_independent_reimplementation():
             got = classify_resolution(spec, genus).has_resolution
             want = independent_has_resolution(spec, genus)
             assert got == want, (spec.factors, spec.central_generators, genus)
+
+
+def test_genus1_verdict_agrees_with_kernel_scan():
+    # classify reads the decomposition; is_sl2_center_product rescans the kernel
+    specs = list(small_group_catalog()) + mixed_denominator_specs()
+    assert len(specs) == 623 + 150
+    for spec in specs:
+        if not spec.factors:
+            continue
+        slots = is_sl2_center_product(canonical_decomposition(spec).ss_kernel, spec.factors)
+        verdict = classify_resolution(spec, 1)
+        assert (verdict.case == GENUS1_CASE) == (slots is not None), (
+            spec.factors,
+            spec.central_generators,
+        )
+        if slots is not None:
+            assert slots == canonical_decomposition(spec).pgl2_indices
 
 
 def test_catalog_is_substantial():

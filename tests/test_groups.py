@@ -19,6 +19,7 @@ from charvar.groups import (
     parse_group_spec,
     preset_group_spec,
 )
+from conftest import mixed_denominator_specs, small_group_catalog
 
 
 def quotient_spec(factors, generators):
@@ -118,6 +119,17 @@ def test_closure_order_independent():
     subs = [center.closure(list(p)) for p in itertools.permutations([a, b, c])]
     assert all(s == subs[0] for s in subs)
     assert subs[0].order == 8
+
+
+def test_closure_and_kernel_are_sorted():
+    # closure and the kernel filter skip the constructor's sort
+    for spec in list(small_group_catalog()) + mixed_denominator_specs():
+        decomp = canonical_decomposition(spec)
+        for sub in (decomp.full_center, decomp.ss_kernel):
+            assert sub.elements == tuple(sorted(sub.elements))
+            assert CentralSubgroup(reversed(sub.elements)) == sub
+    shuffled = CentralSubgroup([Center(0, (3,)).element([], [k]) for k in (2, 0, 1)])
+    assert [e.ss_part for e in shuffled] == [(0,), (1,), (2,)]
 
 
 def test_element_order():

@@ -8,6 +8,8 @@ from charvar.numerics import (
     CohomologyReport,
     ConvergenceError,
     SurfaceRep,
+    _DenseJacobian,
+    _KroneckerJacobian,
     _adjoint,
     _gauss_newton_step,
     _kron,
@@ -118,6 +120,16 @@ def test_kron_matches_numpy():
 # -------------------------------------------------- jacobians vs differences
 
 
+def dense_jacobian(jac):
+    """The Jacobian as one matrix.  A factored relator Jacobian is multiplied
+    out with np.kron, block by block: J_t = sum_a kron(P_ta, Q_ta)."""
+    if isinstance(jac, _DenseJacobian):
+        return jac.matrix
+    return np.hstack(
+        [sum(np.kron(p, q) for p, q in zip(Pt, Qt)) for Pt, Qt in zip(jac.P, jac.Q)]
+    )
+
+
 def _fd_check(system, mats, seed=0, eps=1e-6):
     """Directional central difference against the analytic Jacobian.
 
@@ -125,7 +137,8 @@ def _fd_check(system, mats, seed=0, eps=1e-6):
     system is checked as J @ vec(dM); a real-lifted one as J @ v, where v
     holds (dx, dy) per matrix.
     """
-    F, J = system(mats)
+    F, jac = system(mats)
+    J = dense_jacobian(jac)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2 * sum(m.size for m in mats))
     v /= np.linalg.norm(v)
@@ -147,11 +160,30 @@ def test_relator_jacobian_matches_finite_differences():
     for genus, n, seed in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
         rep = sample_random_rep(n, genus, seed=seed, spread=0.4)
         system = _relator_system(genus, n)
-        F, J = system(rep.generators())
+        F, jac = system(rep.generators())
+        J = dense_jacobian(jac)
         # holomorphic: complex residual, one complex column per entry
         assert np.iscomplexobj(J) and J.shape == (n * n, 2 * genus * n * n)
         err = _fd_check(system, rep.generators(), seed=seed)
         assert err < 1e-6, (genus, n, err)
+
+
+def test_kronecker_gram_and_adjoint_product_match_dense():
+    # the factored J J^H and J^H y against the multiplied-out J
+    rng = np.random.default_rng(81)
+    for genus in (2, 3):
+        for n in range(2, 7):
+            rep = sample_random_rep(n, genus, seed=10 * genus + n, spread=0.4)
+            F, jac = _relator_system(genus, n)(rep.generators())
+            assert isinstance(jac, _KroneckerJacobian)
+            J = dense_jacobian(jac)
+            want = J @ J.conj().T
+            got = jac.gram()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (genus, n)
+            y = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+            want = J.conj().T @ y
+            got = jac.rmatvec(y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (genus, n)
 
 
 def test_moment_jacobian_matches_finite_differences():
@@ -159,26 +191,53 @@ def test_moment_jacobian_matches_finite_differences():
     for count, n, seed in [(1, 2, 4), (2, 2, 5), (2, 3, 6)]:
         mats = sample_moment_start(n, count, seed=seed, spread=0.4)
         system = _moment_system(count, n)
-        F, J = system(mats)
+        F, jac = system(mats)
+        J = dense_jacobian(jac)
         assert not np.iscomplexobj(J) and J.shape == (2 * n * n, 2 * count * n * n)
         err = _fd_check(system, mats, seed=seed)
         assert err < 1e-6, (count, n, err)
 
 
 def test_complex_step_matches_realified_step():
-    # the complex J J^H solve is the realification of the real J J^T solve;
-    # J J^H is singular (the relator has unit determinant), so both solves
-    # lose about 1/lam of precision and the check runs from the start damping up
+    # the factored complex J J^H solve is the realification of the real J J^T
+    # solve on the multiplied-out J; J J^H is singular (the relator has unit
+    # determinant), so both solves lose about 1/lam of precision and the
+    # check runs from the start damping up
     for genus, n, seed in [(2, 2, 1), (2, 3, 2), (3, 2, 3)]:
         rep = sample_random_rep(n, genus, seed=seed, spread=0.4)
-        F, J = _relator_system(genus, n)(rep.generators())
+        F, jac = _relator_system(genus, n)(rep.generators())
+        J = dense_jacobian(jac)
         F_real = np.concatenate([F.real, F.imag])
-        J_real = np.block([[J.real, -J.imag], [J.imag, J.real]])
+        real_jac = _DenseJacobian(np.block([[J.real, -J.imag], [J.imag, J.real]]))
         for lam in (1e-3, 1e-1, 1.0, 10.0):
-            step = _gauss_newton_step(F, J, lam)
-            real_step = _gauss_newton_step(F_real, J_real, lam)
+            step = _gauss_newton_step(F, jac.gram(), jac, lam)
+            real_step = _gauss_newton_step(F_real, real_jac.gram(), real_jac, lam)
             dx, dy = np.split(real_step, 2)
             assert np.linalg.norm(step - (dx + 1j * dy)) <= 1e-10, (genus, n, lam)
+
+
+def test_gram_built_once_per_accepted_point(monkeypatch):
+    # every trial step needs J^H y, but rejected trials reuse the Gram of the
+    # point they started from; this start rejects 7 of its 20 trial steps
+    grams, products = [], []
+    gram, rmatvec = _KroneckerJacobian.gram, _KroneckerJacobian.rmatvec
+
+    def counted_gram(jac):
+        grams.append(jac)
+        return gram(jac)
+
+    def counted_rmatvec(jac, y):
+        products.append(jac)
+        return rmatvec(jac, y)
+
+    monkeypatch.setattr(_KroneckerJacobian, "gram", counted_gram)
+    monkeypatch.setattr(_KroneckerJacobian, "rmatvec", counted_rmatvec)
+    refined = newton_refine_rep(sample_random_rep(3, 2, seed=0, spread=1.0))
+    assert refined.relator_residual() <= 1e-12
+    assert len(products) > len(grams)
+    # the lists hold the Jacobians themselves, so no two share an id
+    assert len({id(j) for j in grams}) == len(grams)  # one Gram per point
+    assert {id(j) for j in grams} == {id(j) for j in products}  # where steps start
 
 
 # ------------------------------------------------------------- refinement

@@ -63,6 +63,17 @@ def test_canonical_part_order():
         P((0, 1))
 
 
+def test_enumerated_parts_are_already_canonical():
+    # the enumeration wraps its part tuples without the constructor's sort,
+    # so the public constructor must leave every one of them as it is
+    for n in range(1, 13):
+        for nu in enumerate_weighted_partitions(n):
+            assert WeightedPartition(nu.parts).parts == nu.parts, nu
+        for genus in (1, 2):
+            for row in factor_strata_table(n, genus):
+                assert WeightedPartition(row.nu.parts) == row.nu, row.nu
+
+
 def test_stratum_dims():
     assert stratum_dim_gl(P((1, 2), (1, 1)), 2) == 14
     assert stratum_dim_gl(P((1, 1), (1, 1)), 2) == 8
