@@ -25,12 +25,17 @@ There is also a second coordinate system: tuples A_1..A_g with
 Writing B_i = A_i^-1 + A_i* turns each factor into the commutator
 [A_i, B_i] on the nose, so solutions transfer to surface representations
 with no extra work.  Unitary tuples solve the equation exactly and make
-convenient starting points.
+convenient starting points.  This map is not holomorphic: per matrix
+dF = C_i dA_i + D_i conj(dA_i), and its steps solve the normal equations of
+the real lift, whose Gram J J^T is assembled from the same Kronecker
+factors in O(g n^4) (the real form of y -> H y + S conj(y)) and whose
+J^T y comes back as a complex step.  Neither Jacobian is ever formed.
 
 Conventions: matrices are flattened row-major throughout, so
-vec(P X Q) = kron(P, Q^T) vec(X).  Complex parametrizations concatenate
-vec M per matrix; the moment map's real one interleaves (Re vec M, Im vec M)
-per matrix.  Matrices are ordered A_1, B_1, A_2, B_2, ...
+vec(P X Q) = kron(P, Q^T) vec(X).  Both systems step in the complex
+parametrization that concatenates vec M per matrix; the moment map's real
+residual and normal equations stack real parts over imaginary parts.
+Matrices are ordered A_1, B_1, A_2, B_2, ...
 """
 
 from __future__ import annotations
@@ -235,21 +240,6 @@ def shift_matrix(n: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Damped Gauss-Newton on the normal equations (J J^H + lambda I) y = F
 
-class _DenseJacobian:
-    """An explicit Jacobian matrix (the moment map's real lift)."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def gram(self) -> np.ndarray:
-        """J J^H."""
-        return self.matrix @ self.matrix.conj().T
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """J^H y."""
-        return self.matrix.conj().T @ y
-
-
 class _KroneckerJacobian:
     """J = [J_1 ... J_T] with J_t = sum_a kron(P[t, a], Q[t, a]), never formed.
 
@@ -284,36 +274,56 @@ class _KroneckerJacobian:
         return terms.sum(axis=1).reshape(-1)
 
 
-Jacobian = Union[_DenseJacobian, _KroneckerJacobian]
+class _WidelyLinearJacobian:
+    """dF = sum_t C_t dz_t + D_t conj(dz_t), a non-holomorphic Jacobian, never
+    formed.
+
+    The 2T Kronecker blocks of `blocks` are C_t = sum_a kron(P_ta, Q_ta) for
+    t < T, then Dstar_t = sum_b kron(X_tb, Y_tb), with D_t = Dstar_t T for the
+    transpose permutation T: vec(M) -> vec(M^T).  The real lift acts on
+    (Re, Im) pairs, and J J^T is the real form of y -> H y + S conj(y)
+    (Wirtinger calculus; Kreutz-Delgado, "The complex gradient operator and
+    the CR-calculus", arXiv:0906.4835): H = sum_t C_t C_t^H + Dstar_t Dstar_t^H
+    is the Kronecker Gram of the blocks, and S = W + W^T with
+    W = sum_t C_t T Dstar_t^T = sum_t sum_{a,b} kron(P_ta Y_tb^T, Q_ta X_tb^T) T,
+    one more GEMM with inner dimension T k^2, O(T n^4) in all.  The real
+    residual and the Gram stack real parts over imaginary parts; J^T y comes
+    back as the complex step C_t^H y + T Dstar_t^T conj(y) per matrix.
+    """
+
+    def __init__(self, blocks: _KroneckerJacobian):
+        self.blocks = blocks
+
+    def gram(self) -> np.ndarray:
+        """J J^T of the real lift, shape (2 n^2, 2 n^2)."""
+        P, Q = self.blocks.P, self.blocks.Q
+        count, n = len(P) // 2, P.shape[-1]
+        H = self.blocks.gram()
+        U = P[:count, :, None] @ Q[count:, None].swapaxes(-1, -2)
+        V = Q[:count, :, None] @ P[count:, None].swapaxes(-1, -2)
+        # entry ((i, j), (k, l)) of W is sum_m U_m[i, l] V_m[j, k]
+        W = U.reshape(-1, n * n).T @ V.reshape(-1, n * n)
+        W = W.reshape(n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
+        S = W + W.T
+        plus, minus = H + S, H - S
+        G = np.empty((2, n * n, 2, n * n))
+        G[0, :, 0], G[0, :, 1] = plus.real, -minus.imag
+        G[1, :, 0], G[1, :, 1] = plus.imag, minus.real
+        return G.reshape(2 * n * n, 2 * n * n)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """J^T y for y = (Re, Im), as one complex vec(dM_t) block per matrix."""
+        P = self.blocks.P
+        count, n = len(P) // 2, P.shape[-1]
+        half = len(y) // 2
+        terms = self.blocks.rmatvec(y[:half] + 1j * y[half:]).reshape(-1, n, n)
+        # T Dstar_t^T conj(y) = T conj(Dstar_t^H y)
+        return (terms[:count] + terms[count:].conj().swapaxes(-1, -2)).reshape(-1)
+
+
+Jacobian = Union[_KroneckerJacobian, _WidelyLinearJacobian]
 # a system maps the stacked iterate, shape (count, n, n), to (F, Jacobian)
 SystemFn = Callable[[np.ndarray], tuple[np.ndarray, Jacobian]]
-
-
-def _lift_real(
-    residual: np.ndarray,
-    holo_blocks: Sequence[np.ndarray],
-    anti_blocks: Sequence[np.ndarray],
-) -> tuple[np.ndarray, _DenseJacobian]:
-    """Real residual and Jacobian from complex Wirtinger blocks.
-
-    holo_blocks[t] differentiates the residual against vec(M_t),
-    anti_blocks[t] against conj(vec(M_t)).  With dz = dx + i dy the chain
-    rule gives dF = (C + D) dx + i (C - D) dy.
-    """
-    F = np.concatenate([residual.real, residual.imag])
-    cols = []
-    for C, D in zip(holo_blocks, anti_blocks):
-        s, d = C + D, C - D
-        cols += [np.vstack([s.real, s.imag]), np.vstack([-d.imag, d.real])]
-    return F, _DenseJacobian(np.hstack(cols))
-
-
-def _apply_step(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    if not np.iscomplexobj(delta):
-        # a real step holds (Re vec dM, Im vec dM) per matrix
-        steps = delta.reshape(len(mats), 2, -1)
-        delta = steps[:, 0] + 1j * steps[:, 1]
-    return mats + delta.reshape(mats.shape)
 
 
 def _gauss_newton_step(
@@ -335,12 +345,13 @@ def _damped_gauss_newton(
 
     The step solves the normal equations (J J^H + lambda I) y = F and moves
     by delta = -J^H y.  The loop asks the Jacobian for two things only: the
-    Gram matrix J J^H and the product J^H y.  The relator is holomorphic, so
-    its J is complex (the iterates of its realification, at half the size)
-    and comes as Kronecker factors that are never multiplied out; the
-    non-holomorphic moment map passes its dense real lift, with J^H = J^T.
-    The Gram is computed once per accepted point and reused by every trial
-    step from it.  Accepted steps divide lambda by 10 (floor 1e-14),
+    Gram matrix J J^H and the product J^H y, and neither system multiplies
+    its Kronecker factors out.  The relator is holomorphic, so its J is
+    complex (the iterates of its realification, at half the size); the
+    non-holomorphic moment map solves with the real Gram J J^T of its lift
+    and turns J^T y into a complex step (_WidelyLinearJacobian).  The Gram
+    is computed once per accepted point and reused by every trial step from
+    it.  Accepted steps divide lambda by 10 (floor 1e-14),
     rejected ones multiply by 10; past 1e8 the iteration gives up.
     """
     current = np.array(mats, dtype=complex)
@@ -354,7 +365,8 @@ def _damped_gauss_newton(
     lam = _LAMBDA_INIT
     for _ in range(max_iter):
         try:
-            candidate = _apply_step(current, _gauss_newton_step(F, gram, jac, lam))
+            step = _gauss_newton_step(F, gram, jac, lam)
+            candidate = current + step.reshape(current.shape)
             if retract is not None:
                 candidate = retract(candidate)
             F2, jac2 = system(candidate)
@@ -470,36 +482,41 @@ def moment_residual(A: Sequence[np.ndarray]) -> float:
 
 def _moment_system(count: int, n: int) -> SystemFn:
     eye = np.eye(n, dtype=complex)
-    # vec(X^T) = vec(X)[tperm]; dA* is the transpose of the entrywise conjugate
-    tperm = np.arange(n * n).reshape(n, n).T.reshape(-1)
 
-    def system(mats: np.ndarray) -> tuple[np.ndarray, _DenseJacobian]:
-        stars = [a.conj().T for a in mats]
-        P = [eye + a @ s for a, s in zip(mats, stars)]
-        Qinv = [np.linalg.inv(eye + s @ a) for a, s in zip(mats, stars)]
-        factors = [p @ qi for p, qi in zip(P, Qinv)]
-        left = [eye]
-        for f in factors:
-            left.append(left[-1] @ f)
-        right = [eye] * count
+    def system(mats: np.ndarray) -> tuple[np.ndarray, _WidelyLinearJacobian]:
+        mats = np.asarray(mats)
+        stars = mats.conj().swapaxes(-1, -2)
+        Qinv = np.linalg.inv(eye + stars @ mats)
+        factors = (eye + mats @ stars) @ Qinv
+        # left[i] = Psi_1 ... Psi_i, right[i] = Psi_{i+2} ... Psi_count (0-based)
+        left = np.empty((count + 1, n, n), dtype=complex)
+        left[0] = eye
+        for i in range(count):
+            left[i + 1] = left[i] @ factors[i]
+        right = np.empty((count, n, n), dtype=complex)
+        right[-1] = eye
         for i in range(count - 2, -1, -1):
             right[i] = factors[i + 1] @ right[i + 1]
         residual = (left[count] - eye).reshape(-1)
 
-        holo, anti = [], []
-        for i in range(count):
-            qr = Qinv[i] @ right[i]
-            # dPsi = L dA (A* Qinv R) + (L A) dA* (Qinv R)
-            #        - (L P Qinv) dA* (A Qinv R) - (L P Qinv A*) dA (Qinv R)
-            C = _kron(left[i], (stars[i] @ qr).T) - _kron(
-                left[i] @ P[i] @ Qinv[i] @ stars[i], qr.T
-            )
-            Dstar = _kron(left[i] @ mats[i], qr.T) - _kron(
-                left[i] @ P[i] @ Qinv[i], (mats[i] @ qr).T
-            )
-            holo.append(C)
-            anti.append(Dstar[:, tperm])
-        return _lift_real(residual, holo, anti)
+        # with P = 1 + A A*, L = left[i], R = right[i], qr = Qinv R and
+        # L P Qinv = left[i + 1]:
+        # dPsi = L dA (A* qr) - (L P Qinv A*) dA qr
+        #        + (L A) dA* qr - (L P Qinv) dA* (A qr)
+        qr = Qinv @ right
+        # blocks C_1 .. C_count, then Dstar_1 .. Dstar_count
+        P = np.empty((2 * count, 2, n, n), dtype=complex)
+        Q = np.empty_like(P)
+        C, D = slice(None, count), slice(count, None)
+        P[C, 0] = left[:count]
+        P[C, 1] = -(left[1:] @ stars)
+        P[D, 0] = left[:count] @ mats
+        P[D, 1] = -left[1:]
+        Q[C, 0] = (stars @ qr).swapaxes(-1, -2)
+        Q[C, 1] = Q[D, 0] = qr.swapaxes(-1, -2)
+        Q[D, 1] = (mats @ qr).swapaxes(-1, -2)
+        F = np.concatenate([residual.real, residual.imag])
+        return F, _WidelyLinearJacobian(_KroneckerJacobian(P, Q))
 
     return system
 
@@ -569,7 +586,7 @@ def coboundary_matrix(
     """d0: stacked blocks (I - Ad(gen)) of shape (2g d, d)."""
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
-    return _coboundary(_generator_adjoints(rep, basis)[0])
+    return _coboundary([adjoint_matrix(g, basis) for g in rep.generators()])
 
 
 def cocycle_matrix(
@@ -697,28 +714,18 @@ def centralizer_dim(
     rep: SurfaceRep,
     mode: Optional[str] = None,
     rank_tol: float = DEFAULT_RANK_TOL,
-    seed: int = 0,
 ) -> int:
     """Dimension of the joint centralizer of the image, in gl_n or sl_n.
 
-    Stacks W X - X W = 0 for the generators and a few random words; random
-    words guard against accidental common symmetry of the generators alone.
+    Stacks W X - X W = 0 for the generators; a matrix that commutes with
+    every generator commutes with every word in them.
     """
     if mode is None:
         mode = rep.det_mode
     n = rep.n
-    gens = rep.generators()
-    rng = np.random.default_rng(seed)
-    words = list(gens)
-    for _ in range(4):
-        w = np.eye(n, dtype=complex)
-        for _ in range(rng.integers(2, 7)):
-            pick = gens[rng.integers(0, len(gens))]
-            w = w @ (pick if rng.integers(0, 2) else np.linalg.inv(pick))
-        words.append(w)
     eye = np.eye(n)
     stack = np.vstack(
-        [_kron(w, eye) - _kron(eye, w.T) for w in words]
+        [_kron(w, eye) - _kron(eye, w.T) for w in rep.generators()]
     )
     rank, _ = _svd_rank(stack, rank_tol)
     nullity = n * n - rank

@@ -168,7 +168,7 @@ def cohomology_records(
                     except ConvergenceError:
                         rec["resamples"] += 1
                         continue
-                    if centralizer_dim(candidate, mode="gl", seed=seed) == 1:
+                    if centralizer_dim(candidate, mode="gl") == 1:
                         rep = candidate
                         rec["seed"] = seed
                         break

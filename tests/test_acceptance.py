@@ -227,7 +227,7 @@ def _gathered_reps():
                 )
             except ConvergenceError:
                 continue
-            if centralizer_dim(rep, mode="gl", seed=seed) == 1:
+            if centralizer_dim(rep, mode="gl") == 1:
                 found.append(rep)
         irreducible[(n, genus)] = found
         diagonal[(n, genus)] = [

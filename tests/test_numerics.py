@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import charvar.numerics as numerics
 from charvar.fixed_loci import codim_highgenus_from_orders, fixed_tangent_oracle
 from charvar.numerics import (
     CohomologyReport,
     ConvergenceError,
     SurfaceRep,
-    _DenseJacobian,
     _KroneckerJacobian,
+    _WidelyLinearJacobian,
     _adjoint,
     _gauss_newton_step,
     _kron,
@@ -108,6 +109,24 @@ def test_inverse_adjoints_of_cocycle_matrix():
             assert np.allclose(ad_inv, _einsum_adjoint(ginv, basis), atol=1e-10)
 
 
+def test_coboundary_matrix_builds_only_the_generator_adjoints(monkeypatch):
+    # d0 reads Ad(g) for each of the 2g generators and no inverse adjoint
+    calls = []
+    adjoint = numerics._adjoint
+
+    def counted(g, ginv, basis):
+        calls.append(g)
+        return adjoint(g, ginv, basis)
+
+    monkeypatch.setattr(numerics, "_adjoint", counted)
+    rep = sample_random_rep(3, 2, seed=5)
+    d0 = coboundary_matrix(rep)
+    assert [id(g) for g in calls] == [id(g) for g in rep.generators()]
+    basis = lie_basis(3, "sl")
+    want = np.vstack([np.eye(8) - _einsum_adjoint(g, basis) for g in rep.generators()])
+    assert np.allclose(d0, want, atol=1e-10)
+
+
 def test_kron_matches_numpy():
     rng = np.random.default_rng(19)
     for n, m in [(1, 3), (2, 2), (3, 4), (5, 2)]:
@@ -121,13 +140,30 @@ def test_kron_matches_numpy():
 
 
 def dense_jacobian(jac):
-    """The Jacobian as one matrix.  A factored relator Jacobian is multiplied
-    out with np.kron, block by block: J_t = sum_a kron(P_ta, Q_ta)."""
-    if isinstance(jac, _DenseJacobian):
-        return jac.matrix
+    """A factored holomorphic Jacobian multiplied out with np.kron, block by
+    block: J_t = sum_a kron(P_ta, Q_ta)."""
     return np.hstack(
         [sum(np.kron(p, q) for p, q in zip(Pt, Qt)) for Pt, Qt in zip(jac.P, jac.Q)]
     )
+
+
+def dense_real_lift(jac):
+    """The real Jacobian of a widely-linear map dF = C_t dz_t + D_t conj(dz_t).
+
+    Rows hold (Re F, Im F); columns interleave (dx_t, dy_t) per matrix.  The
+    blocks are multiplied out with np.kron and D_t = Dstar_t T is Dstar_t
+    with its columns in transposed order.  With dz = dx + i dy the chain
+    rule gives dF = (C + D) dx + i (C - D) dy.
+    """
+    blocks = jac.blocks
+    count, n = len(blocks.P) // 2, blocks.P.shape[-1]
+    tperm = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    kron_blocks = np.split(dense_jacobian(blocks), 2 * count, axis=1)
+    cols = []
+    for C, Dstar in zip(kron_blocks[:count], kron_blocks[count:]):
+        s, d = C + Dstar[:, tperm], C - Dstar[:, tperm]
+        cols += [np.vstack([s.real, s.imag]), np.vstack([-d.imag, d.real])]
+    return np.hstack(cols)
 
 
 def _fd_check(system, mats, seed=0, eps=1e-6):
@@ -138,7 +174,8 @@ def _fd_check(system, mats, seed=0, eps=1e-6):
     holds (dx, dy) per matrix.
     """
     F, jac = system(mats)
-    J = dense_jacobian(jac)
+    widely_linear = isinstance(jac, _WidelyLinearJacobian)
+    J = dense_real_lift(jac) if widely_linear else dense_jacobian(jac)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2 * sum(m.size for m in mats))
     v /= np.linalg.norm(v)
@@ -192,10 +229,49 @@ def test_moment_jacobian_matches_finite_differences():
         mats = sample_moment_start(n, count, seed=seed, spread=0.4)
         system = _moment_system(count, n)
         F, jac = system(mats)
-        J = dense_jacobian(jac)
+        assert isinstance(jac, _WidelyLinearJacobian)
+        J = dense_real_lift(jac)
         assert not np.iscomplexobj(J) and J.shape == (2 * n * n, 2 * count * n * n)
         err = _fd_check(system, mats, seed=seed)
         assert err < 1e-6, (count, n, err)
+
+
+def test_widely_linear_gram_and_adjoint_product_match_dense():
+    # the factored real J J^T and J^T y against the multiplied-out real lift
+    rng = np.random.default_rng(82)
+    for count in (1, 2, 3):
+        for n in range(2, 7):
+            mats = sample_moment_start(n, count, seed=10 * count + n, spread=0.4)
+            F, jac = _moment_system(count, n)(mats)
+            J = dense_real_lift(jac)
+            want = J @ J.T
+            got = jac.gram()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (count, n)
+            y = rng.standard_normal(2 * n * n)
+            dxdy = (J.T @ y).reshape(count, 2, -1)
+            want = (dxdy[:, 0] + 1j * dxdy[:, 1]).reshape(-1)
+            got = jac.rmatvec(y)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (count, n)
+
+
+def test_moment_jacobian_range_is_trace_free():
+    # det Psi is identically 1, so every dPsi in the range of J has
+    # tr(Psi^-1 dPsi) = 0: the real J^T kills vec(Psi^-H) and i vec(Psi^-H),
+    # which leaves the real Gram singular in those two directions
+    rng = np.random.default_rng(83)
+    for count, n in [(1, 2), (2, 3), (3, 4)]:
+        mats = sample_moment_start(n, count, seed=count + n, spread=0.4)
+        F, jac = _moment_system(count, n)(mats)
+        psi_inv = np.linalg.inv(moment_map(mats))
+        J = dense_real_lift(jac)
+        dF = J @ rng.standard_normal(J.shape[1])
+        dpsi = (dF[: n * n] + 1j * dF[n * n :]).reshape(n, n)
+        assert abs(np.trace(psi_inv @ dpsi)) <= 1e-12 * np.linalg.norm(dpsi), (count, n)
+        y0 = psi_inv.conj().T.reshape(-1)
+        scale = np.linalg.norm(jac.gram(), 2) ** 0.5 * np.linalg.norm(y0)
+        for y in (y0, 1j * y0):
+            step = jac.rmatvec(np.concatenate([y.real, y.imag]))
+            assert np.linalg.norm(step) <= 1e-12 * scale, (count, n)
 
 
 def test_complex_step_matches_realified_step():
@@ -208,19 +284,20 @@ def test_complex_step_matches_realified_step():
         F, jac = _relator_system(genus, n)(rep.generators())
         J = dense_jacobian(jac)
         F_real = np.concatenate([F.real, F.imag])
-        real_jac = _DenseJacobian(np.block([[J.real, -J.imag], [J.imag, J.real]]))
+        J_real = np.block([[J.real, -J.imag], [J.imag, J.real]])
         for lam in (1e-3, 1e-1, 1.0, 10.0):
             step = _gauss_newton_step(F, jac.gram(), jac, lam)
-            real_step = _gauss_newton_step(F_real, real_jac.gram(), real_jac, lam)
+            real_step = -J_real.T @ np.linalg.solve(
+                J_real @ J_real.T + lam * np.eye(len(F_real)), F_real
+            )
             dx, dy = np.split(real_step, 2)
             assert np.linalg.norm(step - (dx + 1j * dy)) <= 1e-10, (genus, n, lam)
 
 
-def test_gram_built_once_per_accepted_point(monkeypatch):
-    # every trial step needs J^H y, but rejected trials reuse the Gram of the
-    # point they started from; this start rejects 7 of its 20 trial steps
+def _count_gram_and_rmatvec(monkeypatch, cls):
+    """Record the Jacobian behind every gram() and rmatvec() call on cls."""
     grams, products = [], []
-    gram, rmatvec = _KroneckerJacobian.gram, _KroneckerJacobian.rmatvec
+    gram, rmatvec = cls.gram, cls.rmatvec
 
     def counted_gram(jac):
         grams.append(jac)
@@ -230,14 +307,33 @@ def test_gram_built_once_per_accepted_point(monkeypatch):
         products.append(jac)
         return rmatvec(jac, y)
 
-    monkeypatch.setattr(_KroneckerJacobian, "gram", counted_gram)
-    monkeypatch.setattr(_KroneckerJacobian, "rmatvec", counted_rmatvec)
-    refined = newton_refine_rep(sample_random_rep(3, 2, seed=0, spread=1.0))
-    assert refined.relator_residual() <= 1e-12
+    monkeypatch.setattr(cls, "gram", counted_gram)
+    monkeypatch.setattr(cls, "rmatvec", counted_rmatvec)
+    return grams, products
+
+
+def _assert_one_gram_per_accepted_point(grams, products):
     assert len(products) > len(grams)
     # the lists hold the Jacobians themselves, so no two share an id
     assert len({id(j) for j in grams}) == len(grams)  # one Gram per point
     assert {id(j) for j in grams} == {id(j) for j in products}  # where steps start
+
+
+def test_gram_built_once_per_accepted_point(monkeypatch):
+    # every trial step needs J^H y, but rejected trials reuse the Gram of the
+    # point they started from; this start rejects 7 of its 20 trial steps
+    grams, products = _count_gram_and_rmatvec(monkeypatch, _KroneckerJacobian)
+    refined = newton_refine_rep(sample_random_rep(3, 2, seed=0, spread=1.0))
+    assert refined.relator_residual() <= 1e-12
+    _assert_one_gram_per_accepted_point(grams, products)
+
+
+def test_moment_gram_built_once_per_accepted_point(monkeypatch):
+    # the same for the moment map; this start rejects 8 of its 23 trial steps
+    grams, products = _count_gram_and_rmatvec(monkeypatch, _WidelyLinearJacobian)
+    solved = refine_moment_map_point(sample_moment_start(2, 3, seed=6, spread=5.0))
+    assert moment_residual(solved) <= 1e-8
+    _assert_one_gram_per_accepted_point(grams, products)
 
 
 # ------------------------------------------------------------- refinement
