@@ -18,6 +18,7 @@ first principles and are compared against the closed forms in the tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterator, Optional, Sequence, Union
@@ -170,13 +171,13 @@ def genus1_orbit_oracle(n: int, pair: tuple[int, int]) -> Optional[int]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """All tuples of ``parts`` nonnegative integers summing to ``total``.
+
+    Stars and bars: cut points 0 <= c_1 <= ... <= c_{parts-1} <= total,
+    and the parts are the gaps between consecutive cuts.
+    """
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
 def _has_unit_gcd_tuple(shifts: Sequence[int], modulus: int, length: int) -> bool:
@@ -203,9 +204,13 @@ def fixed_tangent_oracle(n: int, ell: int, genus: int) -> Optional[int]:
     if ell < 1:
         raise ValueError(f"order must be >= 1, got {ell}")
     best: Optional[int] = None
+    admissible: dict[tuple[int, ...], bool] = {}  # one gcd search per shift set
     for m in _compositions(n, ell):
-        shifts = [k for k in range(ell) if m[k:] + m[:k] == m]
-        if not _has_unit_gcd_tuple(shifts, ell, 2 * genus):
+        doubled = m + m
+        shifts = tuple(k for k in range(ell) if doubled[k : k + ell] == m)
+        if shifts not in admissible:
+            admissible[shifts] = _has_unit_gcd_tuple(shifts, ell, 2 * genus)
+        if not admissible[shifts]:
             continue
         value = sum(x * x for x in m)
         if best is None or value > best:

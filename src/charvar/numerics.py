@@ -18,6 +18,17 @@ where the dense product costs O(g n^6), and J^H y is sum_a P_ta^H Y conj(Q_ta).
 The Gram is computed once per accepted point and reused by every trial step
 from it.  Adjoint matrices use the Kronecker form kron(g, g^-T).
 
+The cohomology differentials d0 and d1 never change basis.  A product of
+adjoints is the adjoint of the product, Ad(w) = kron(w, w^-T), so every Fox
+derivative block is a difference of Kronecker products of the relator's
+words, each word one n x n product, and both differentials are assembled in
+gl coordinates in O(g n^4) instead of being projected onto a Lie algebra
+basis and multiplied as d x d matrices at O(g n^6).  The gl basis is
+unitary, so gl-mode singular values are unchanged.  In sl mode every Ad(w)
+fixes the identity and every image is trace-free, so the gl-coordinate
+differential is the sl one plus a zero block, and its one extra singular
+value, an exact zero, is dropped before the rank cut.
+
 There is also a second coordinate system: tuples A_1..A_g with
 
     prod_i (1 + A_i A_i*) (1 + A_i* A_i)^-1 = 1.
@@ -92,18 +103,24 @@ def lie_basis(n: int, mode: str = "sl") -> np.ndarray:
 
 def adjoint_matrix(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Matrix of X -> g X g^-1 in the given orthonormal basis."""
-    return _adjoint(g, np.linalg.inv(g), basis)
-
-
-def _adjoint(g: np.ndarray, ginv: np.ndarray, basis: np.ndarray) -> np.ndarray:
     # entries <B_j, g B_k g^-1>, with vec(g X g^-1) = kron(g, g^-T) vec(X)
+    return _in_basis(_kron(g, np.linalg.inv(g).T), basis)[0]
+
+
+def _in_basis(blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """B^H M B for each n^2 x n^2 block M of the stack, B = basis vectors as
+    columns."""
     vecs = basis.reshape(basis.shape[0], -1)
-    return vecs.conj() @ (_kron(g, ginv.T) @ vecs.T)
+    m = vecs.shape[1]
+    return vecs.conj() @ blocks.reshape(-1, m, m) @ vecs.T
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices, without its per-call dispatch cost."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """np.kron of two square matrices, or of each pair from two stacks of
+    them, without its per-call dispatch cost."""
+    size = a.shape[-1] * b.shape[-1]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*a.shape[:-2], size, size)
 
 
 # --------------------------------------------------------------------------
@@ -583,10 +600,18 @@ def surface_relator_word(genus: int) -> list[tuple[int, int]]:
 def coboundary_matrix(
     rep: SurfaceRep, basis: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """d0: stacked blocks (I - Ad(gen)) of shape (2g d, d)."""
+    """d0: stacked blocks (I - Ad(gen)) of shape (2g d, d).
+
+    The blocks are built in gl coordinates as I - kron(g, g^-T) and then
+    projected onto the orthonormal basis (default: sl_n or gl_n by the
+    rep's det_mode), B^H (I - kron(g, g^-T)) B.  cohomology_dims ranks the
+    gl-coordinate blocks directly: in sl mode they are this matrix plus one
+    exact zero singular value.
+    """
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
-    return _coboundary([adjoint_matrix(g, basis) for g in rep.generators()])
+    d0, _ = _fox_differentials(rep)
+    return _in_basis(d0, basis).reshape(-1, basis.shape[0])
 
 
 def cocycle_matrix(
@@ -596,56 +621,65 @@ def cocycle_matrix(
 
     Walking the word left to right, a letter g^{+1} contributes the adjoint
     of the prefix before it, a letter g^{-1} minus the adjoint of the prefix
-    through it.
+    through it; each adjoint is the Kronecker product of its word,
+    Ad(w) = kron(w, w^-T).  The gl-coordinate blocks are projected onto the
+    orthonormal basis as for coboundary_matrix, and in sl mode they again
+    differ from this matrix by one exact zero singular value.
     """
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
-    return _cocycle(rep.genus, *_generator_adjoints(rep, basis))
+    _, d1t = _fox_differentials(rep)
+    d, m = basis.shape[0], rep.n * rep.n
+    blocks = _in_basis(d1t.reshape(-1, m, m).swapaxes(-1, -2), basis)
+    return blocks.transpose(1, 0, 2).reshape(d, -1)
 
 
-def _generator_adjoints(
-    rep: SurfaceRep, basis: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Ad(g) and Ad(g^-1) for each generator g, one inverse per generator."""
-    gens = rep.generators()
-    invs = [np.linalg.inv(g) for g in gens]
-    adjoints = [_adjoint(g, gi, basis) for g, gi in zip(gens, invs)]
-    adjoints_inv = [_adjoint(gi, g, basis) for g, gi in zip(gens, invs)]
-    return adjoints, adjoints_inv
+def _fox_differentials(rep: SurfaceRep) -> tuple[np.ndarray, np.ndarray]:
+    """d0 and the transpose of d1 in gl coordinates, both (2g n^2, n^2).
+
+    d0 stacks I - kron(g, g^-T) over the generators.  For the i-th
+    commutator [a, b] with w the product of the commutators before it, the
+    Fox derivatives are Ad(w) - Ad(w a b a^-1) for A_i and
+    Ad(w a) - Ad(w [a, b]) for B_i, and Ad(u)^T = kron(u^T, u^-1), so d1 is
+    stored transposed, one (n^2, n^2) block per generator: numpy's SVD of a
+    C-ordered matrix is faster tall than wide.  Each word is one n x n
+    product, its inverse the reversed product of generator inverses, so the
+    assembly costs O(g n^4).
+    """
+    n, genus = rep.n, rep.genus
+    gens = np.array(rep.generators(), dtype=complex)
+    invs = np.linalg.inv(gens)
+    d0 = np.eye(n * n) - _kron(gens, invs.swapaxes(-1, -2))
+    # words[i] = [[w, w a], [w a b a^-1, w [a, b]]], inverses alike
+    words = np.empty((genus, 2, 2, n, n), dtype=complex)
+    inverses = np.empty_like(words)
+    w = winv = np.eye(n, dtype=complex)
+    for i in range(genus):
+        a, b, ainv, binv = gens[2 * i], gens[2 * i + 1], invs[2 * i], invs[2 * i + 1]
+        words[i, 0, 0], inverses[i, 0, 0] = w, winv
+        words[i, 0, 1], inverses[i, 0, 1] = w @ a, ainv @ winv
+        words[i, 1, 0] = words[i, 0, 1] @ b @ ainv
+        inverses[i, 1, 0] = a @ binv @ inverses[i, 0, 1]
+        w = words[i, 1, 1] = words[i, 1, 0] @ binv
+        winv = inverses[i, 1, 1] = b @ inverses[i, 1, 0]
+    terms = _kron(words.swapaxes(-1, -2), inverses)
+    d1t = terms[:, 0] - terms[:, 1]
+    return d0.reshape(-1, n * n), d1t.reshape(-1, n * n)
 
 
-def _coboundary(adjoints: list[np.ndarray]) -> np.ndarray:
-    eye = np.eye(adjoints[0].shape[0])
-    return np.vstack([eye - ad for ad in adjoints])
-
-
-def _cocycle(
-    genus: int, adjoints: list[np.ndarray], adjoints_inv: list[np.ndarray]
-) -> np.ndarray:
-    d = adjoints[0].shape[0]
-    coeffs = [np.zeros((d, d), dtype=complex) for _ in adjoints]
-    prefix = np.eye(d, dtype=complex)
-    for j, exp in surface_relator_word(genus):
-        if exp == 1:
-            coeffs[j] = coeffs[j] + prefix
-            prefix = prefix @ adjoints[j]
-        else:
-            prefix = prefix @ adjoints_inv[j]
-            coeffs[j] = coeffs[j] - prefix
-    return np.hstack(coeffs)
-
-
-def _svd_rank(M: np.ndarray, rank_tol: float) -> tuple[int, float]:
-    """Numerical rank and the spectral gap at the cut.
+def _svd_rank(M: np.ndarray, rank_tol: float, drop: int = 0) -> tuple[int, float]:
+    """Numerical rank and the spectral gap at the cut, after dropping the
+    `drop` smallest singular values (ones known to be exact zeros).
 
     The cut is rank_tol times max(top singular value, 1): the matrices here
     are built from order-one adjoint blocks, so anything uniformly below
     rank_tol is roundoff, not structure, even when it dwarfs the (zero) top
     value's relative scale.
     """
-    if M.size == 0:
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    s = s[: len(s) - drop]
+    if s.size == 0:
         return 0, np.inf
-    s = np.linalg.svd(M, compute_uv=False)
     cut = rank_tol * max(float(s[0]), 1.0)
     rank = int(np.sum(s > cut))
     if rank == 0 or rank == len(s) or s[rank] == 0.0:
@@ -683,17 +717,25 @@ def cohomology_dims(
 ) -> CohomologyReport:
     """h^0, h^1, h^2 with coefficients in the adjoint representation.
 
+    The differentials are ranked in gl coordinates, as the Kronecker
+    products of the relator's words built by _fox_differentials, with no
+    change of basis.  In gl mode the basis is unitary, so the singular
+    values are those of coboundary_matrix and cocycle_matrix.  In sl mode
+    every Ad(w) fixes the identity and every image is trace-free, so each
+    gl-coordinate differential is the sl one plus a zero block, and its one
+    extra singular value, an exact zero, is dropped before the cut.
+
     Ranks come from SVD cuts at rank_tol * max(s0, 1), where s0 is the top
     singular value, so the cut never falls below rank_tol itself; the report
     carries the worst gap across both differentials, and is flagged
     unreliable when that gap drops below 1000.
     """
-    basis = lie_basis(rep.n, rep.det_mode)
-    d = basis.shape[0]
-    g = rep.genus
-    adjoints, adjoints_inv = _generator_adjoints(rep, basis)
-    r0, gap0 = _svd_rank(_coboundary(adjoints), rank_tol)
-    r1, gap1 = _svd_rank(_cocycle(g, adjoints, adjoints_inv), rank_tol)
+    n, g = rep.n, rep.genus
+    sl = rep.det_mode == "sl"
+    d = n * n - 1 if sl else n * n
+    d0, d1t = _fox_differentials(rep)
+    r0, gap0 = _svd_rank(d0, rank_tol, drop=int(sl))
+    r1, gap1 = _svd_rank(d1t, rank_tol, drop=int(sl))
     h0 = d - r0
     h1 = 2 * g * d - r0 - r1
     h2 = d - r1

@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from charvar.fixed_loci import (
+    _compositions,
     codim_genus1_from_orders,
     codim_highgenus_from_orders,
     fixed_codim_genus1,
@@ -99,6 +100,48 @@ def test_tangent_oracle_equals_closed_form():
                 oracle = fixed_tangent_oracle(n, ell, g)
                 closed = codim_highgenus_from_orders((n,), (ell,), g)
                 assert oracle == closed
+
+
+def recursive_compositions(total, parts):
+    """The head-first recursive walk the stars-and-bars walk replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def recursive_tangent_oracle(n, ell, genus):
+    """fixed_tangent_oracle as first written: the recursive walk and one gcd
+    search per composition."""
+    best = None
+    for m in recursive_compositions(n, ell):
+        shifts = [k for k in range(ell) if m[k:] + m[:k] == m]
+        if not any(
+            gcd(*combo, ell) == 1 for combo in itertools.product(shifts, repeat=2 * genus)
+        ):
+            continue
+        value = sum(x * x for x in m)
+        if best is None or value > best:
+            best = value
+    return None if best is None else 2 * (genus - 1) * (n * n - best)
+
+
+def test_stars_and_bars_walk_matches_recursive_walk():
+    for total in range(0, 7):
+        for parts in range(1, 6):
+            got = list(_compositions(total, parts))
+            assert len(got) == len(set(got)), (total, parts)
+            assert sorted(got) == sorted(recursive_compositions(total, parts)), (total, parts)
+
+
+def test_tangent_oracle_matches_recursive_walk():
+    for n in range(1, 9):
+        for ell in range(1, 9):
+            for g in (2, 3):
+                want = recursive_tangent_oracle(n, ell, g)
+                assert fixed_tangent_oracle(n, ell, g) == want, (n, ell, g)
 
 
 def test_min_nonfree_examples():

@@ -11,7 +11,6 @@ from charvar.numerics import (
     SurfaceRep,
     _KroneckerJacobian,
     _WidelyLinearJacobian,
-    _adjoint,
     _gauss_newton_step,
     _kron,
     _moment_system,
@@ -96,35 +95,80 @@ def test_kronecker_adjoint_matches_einsum_oracle():
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (n, mode)
 
 
-def test_inverse_adjoints_of_cocycle_matrix():
-    # cocycle_matrix builds Ad(g^-1) as _adjoint(g^-1, g): it must invert Ad(g)
-    rng = np.random.default_rng(18)
+def basis_fox_oracle(rep, basis):
+    """d0 and d1 in the basis, by multiplying basis-form adjoints along the
+    relator word: the construction the gl-coordinate builder replaced."""
+    adjoints = [_einsum_adjoint(g, basis) for g in rep.generators()]
+    adjoints_inv = [_einsum_adjoint(np.linalg.inv(g), basis) for g in rep.generators()]
+    d = len(basis)
+    d0 = np.vstack([np.eye(d) - ad for ad in adjoints])
+    coeffs = [np.zeros((d, d), dtype=complex) for _ in adjoints]
+    prefix = np.eye(d, dtype=complex)
+    for j, exp in surface_relator_word(rep.genus):
+        if exp == 1:
+            coeffs[j] = coeffs[j] + prefix
+            prefix = prefix @ adjoints[j]
+        else:
+            prefix = prefix @ adjoints_inv[j]
+            coeffs[j] = coeffs[j] - prefix
+    return d0, np.hstack(coeffs)
+
+
+def _oracle_reps():
+    """Generic tuples off the variety, n 2-6, genus 2-3, sl and gl."""
+    rng = np.random.default_rng(20)
     for n in range(2, 7):
-        g = np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        ginv = np.linalg.inv(g)
-        for mode in ("sl", "gl"):
-            basis = lie_basis(n, mode)
-            ad_inv = _adjoint(ginv, g, basis)
-            assert np.allclose(ad_inv @ adjoint_matrix(g, basis), np.eye(len(basis)), atol=1e-10)
-            assert np.allclose(ad_inv, _einsum_adjoint(ginv, basis), atol=1e-10)
+        for genus in (2, 3):
+            yield sample_random_rep(n, genus, seed=10 * n + genus)
+            mats = [
+                np.eye(n) + 0.4 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                for _ in range(2 * genus)
+            ]
+            yield SurfaceRep(genus, n, tuple(mats[0::2]), tuple(mats[1::2]), det_mode="gl")
 
 
-def test_coboundary_matrix_builds_only_the_generator_adjoints(monkeypatch):
-    # d0 reads Ad(g) for each of the 2g generators and no inverse adjoint
+def test_fox_differentials_match_basis_oracle():
+    for rep in _oracle_reps():
+        basis = lie_basis(rep.n, rep.det_mode)
+        d = len(basis)
+        want0, want1 = basis_fox_oracle(rep, basis)
+        d0, d1 = coboundary_matrix(rep), cocycle_matrix(rep)
+        assert d0.shape == (2 * rep.genus * d, d) and d1.shape == (d, 2 * rep.genus * d)
+        key = (rep.n, rep.genus, rep.det_mode)
+        assert np.linalg.norm(d0 - want0) <= 1e-10 * np.linalg.norm(want0), key
+        assert np.linalg.norm(d1 - want1) <= 1e-10 * np.linalg.norm(want1), key
+
+
+def test_gl_coordinate_singular_values_match_basis_ones():
+    # gl: a unitary change of basis; sl: the sl differential plus a zero block
+    for rep in _oracle_reps():
+        basis = lie_basis(rep.n, rep.det_mode)
+        key = (rep.n, rep.genus, rep.det_mode)
+        for full, want in zip(numerics._fox_differentials(rep), basis_fox_oracle(rep, basis)):
+            s = np.linalg.svd(full, compute_uv=False)
+            s_want = np.linalg.svd(want, compute_uv=False)
+            if rep.det_mode == "sl":
+                assert np.sum(s <= 1e-12 * s[0]) == np.sum(s_want <= 1e-12 * s_want[0]) + 1, key
+                s = s[:-1]
+            assert np.allclose(s, s_want, rtol=0, atol=1e-10 * s_want[0]), key
+
+
+def test_cohomology_dims_never_changes_basis(monkeypatch):
     calls = []
-    adjoint = numerics._adjoint
+    for name in ("lie_basis", "adjoint_matrix", "_in_basis"):
+        original = getattr(numerics, name)
 
-    def counted(g, ginv, basis):
-        calls.append(g)
-        return adjoint(g, ginv, basis)
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
 
-    monkeypatch.setattr(numerics, "_adjoint", counted)
-    rep = sample_random_rep(3, 2, seed=5)
-    d0 = coboundary_matrix(rep)
-    assert [id(g) for g in calls] == [id(g) for g in rep.generators()]
-    basis = lie_basis(3, "sl")
-    want = np.vstack([np.eye(8) - _einsum_adjoint(g, basis) for g in rep.generators()])
-    assert np.allclose(d0, want, atol=1e-10)
+        monkeypatch.setattr(numerics, name, counted)
+    for rep in (sample_random_rep(3, 2, seed=5), sample_diagonal_rep(3, 2, seed=6)):
+        cohomology_dims(rep)
+    assert calls == []
+    # the counters are live: the public basis form projects once
+    coboundary_matrix(rep)
+    assert calls == ["lie_basis", "_in_basis"]
 
 
 def test_kron_matches_numpy():
@@ -134,6 +178,14 @@ def test_kron_matches_numpy():
         b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         assert np.array_equal(_kron(a, b), np.kron(a, b))
         assert np.array_equal(_kron(b, b.T), np.kron(b, b.T))
+    # stacks pair up along their leading axes
+    a = rng.standard_normal((2, 3, 2, 2))
+    b = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+    got = _kron(a, b)
+    assert got.shape == (2, 3, 6, 6)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(got[i, j], np.kron(a[i, j], b[i, j]))
 
 
 # -------------------------------------------------- jacobians vs differences
@@ -426,7 +478,8 @@ def test_irreducible_rep_cohomology():
         assert centralizer_dim(rep, mode="gl") == 1, "start was not generic"
         report = cohomology_dims(rep)
         assert (report.h0, report.h1, report.h2) == (0, h1, 0), (n, genus)
-        assert report.reliable
+        # d0 injective and d1 onto sl_n: no cut falls inside either spectrum
+        assert report.singular_value_gap == np.inf and report.reliable
         assert report.euler_residual == 0
 
 
