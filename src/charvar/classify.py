@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fixed_loci import min_nonfree_codim
 from .groups import Decomposition, GroupSpec, canonical_decomposition
 from .strata import singular_codim_factor
 
@@ -94,19 +93,22 @@ def singular_locus_codim(spec: GroupSpec, genus: int) -> Optional[int]:
     """Codimension of the singular locus, or None when smooth (abelian).
 
     Two sources of singularities compete: degenerate strata inside each SL
-    factor, and non-free central twists gluing points together.  The minimum
-    wins; factor singularities land in the quotient because central twists
-    preserve representation types.
+    factor, and non-free central twists gluing points together.  No twist
+    goes below the factors, so the answer is min_j singular_codim_factor(n_j,
+    g) and no kernel element is looked at.  A nontrivial kernel twist has
+    order l_j >= 2 in some factor j.  At genus g >= 2 its fixed locus has
+    codimension at least 2(g-1) n_j^2 (1 - 1/l_j) >= (g-1) n_j^2
+    >= 4(g-1)(n_j - 1) > 4(g-1)(n_j - 1) - 2, the codimension of the
+    singular strata of SL(n_j); at genus one it is at least
+    2 n_j (1 - 1/l_j) >= n_j >= 2, the genus-one factor value.  Factor
+    singularities land in the quotient because central twists preserve
+    representation types.
     """
     if genus < 1:
         raise ValueError(f"genus must be >= 1, got {genus}")
     if not spec.nonabelian:
         return None
-    best = min(singular_codim_factor(n, genus) for n in spec.factors)
-    nonfree = min_nonfree_codim(canonical_decomposition(spec), genus)
-    if nonfree is not None:
-        best = min(best, nonfree[0])
-    return best
+    return min(singular_codim_factor(n, genus) for n in spec.factors)
 
 
 def _factor_label(decomp: Decomposition) -> str:

@@ -6,12 +6,19 @@ finite subgroup Z0 of the center.  The center of the covering group is
 rationals in [0, 1) (the angle a/b stands for exp(2*pi*i*a/b)) and one
 residue mod n_i per special linear factor.
 
-Closures run in integer coordinates: the generators' torus angles go over
-their common denominator D, so the center they generate lives in
-Z_D^h x prod_i Z_{n_i} and is enumerated as plain integer tuples before
-being turned back into elements once.  A GroupSpec is immutable, so Z0 and
-its canonical decomposition are computed once per spec instance and kept
-on it; every later query on the same spec reuses them.
+Z0 is kept as a lattice, not as an element list.  The generators' torus
+angles go over their common denominator D, so Z0 is the span of integer
+vectors in Z_D^h x prod_i Z_{n_i}, and ``Center.closure`` echelonizes that
+span with extended-gcd row operations (torus columns first, then one column
+per SL factor).  The pivots d_j divide the column moduli m_j, and every
+answer that needs only orders is read off them: |Z0| = prod_j m_j / d_j
+(checked against the size cap before any element exists), the
+torus-invisible kernel is spanned by the rows whose pivots lie in the SL
+columns, and an SL(2) slot is a PGL(2) slot exactly when its sign flip is a
+member of the lattice.  Elements are listed, once, only when an answer
+prints them.  A GroupSpec is immutable, so Z0 and its canonical
+decomposition are computed once per spec instance and kept on it; every
+later query on the same spec reuses them.
 
 Everything here is exact integer/rational arithmetic; no floats enter the
 combinatorial layer.
@@ -118,84 +125,223 @@ class Center:
         generators: Iterable[CentralElement],
         cap: int = DEFAULT_SUBGROUP_CAP,
     ) -> "CentralSubgroup":
-        """Subgroup generated by ``generators``, in integer coordinates.
+        """Subgroup generated by ``generators``, as an echelon basis.
 
         The torus angles go over their common denominator D (the lcm of the
         generators' torus denominators, 1 when there are none), so every
-        element is an integer tuple in Z_D^h x prod Z_{n_i}.  The subgroup
-        grows one generator g at a time: joining <g> to a subgroup S adds
-        the cosets S + k g for 0 < k < m, where m is the least k with k g in
-        S.  Raises SubgroupCapExceeded as soon as the set would grow past
-        ``cap``.  The tuples are sorted (the order of their Fraction angles)
-        and turned into CentralElements once, at the end.
+        generator is an integer vector in Z_D^h x prod Z_{n_i}; the
+        subgroup is the span of those vectors, kept as the echelon basis of
+        ``_echelon``.  Its order is read off the pivots, so
+        SubgroupCapExceeded is raised before any element exists; the
+        elements are listed only when ``elements`` is first read.
         """
         gens = list(generators)
         denom = lcm(*(c.denominator for g in gens for c in g.torus_part))
         moduli = (denom,) * self.torus_rank + self.factors
+        vectors = [_integer_vector(g, denom) for g in gens]
+        sub = CentralSubgroup._lattice(_echelon(vectors, moduli), moduli, self.torus_rank)
+        if sub.order > cap:
+            raise SubgroupCapExceeded(f"central subgroup exceeds cap of {cap} elements")
+        return sub
 
-        def add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
 
-        zero = (0,) * len(moduli)
-        elements = [zero]
-        seen = {zero}
-        for g in gens:
-            torus = tuple(c.numerator * (denom // c.denominator) for c in g.torus_part)
-            v = add(zero, torus + g.ss_part)
-            shifts = []
-            step = v
-            while step not in seen:
-                if len(elements) * (len(shifts) + 2) > cap:
-                    raise SubgroupCapExceeded(
-                        f"central subgroup exceeds cap of {cap} elements"
-                    )
-                shifts.append(step)
-                step = add(step, v)
-            grown = [add(x, t) for t in shifts for x in elements]
-            elements += grown
-            seen.update(grown)
+def _integer_vector(x: CentralElement, denom: int) -> tuple[int, ...]:
+    """The torus angles of ``x`` as numerators over ``denom`` (a multiple
+    of their denominators), then its residues."""
+    torus = tuple(c.numerator * (denom // c.denominator) for c in x.torus_part)
+    return torus + x.ss_part
 
-        h = self.torus_rank
-        elements.sort()
-        angles = {k: Fraction(k, denom) for x in elements for k in x[:h]}
-        return CentralSubgroup._sorted(
-            tuple(CentralElement(tuple(angles[k] for k in x[:h]), x[h:]) for x in elements)
-        )
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b), for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+Rows = dict[int, tuple[int, ...]]
+
+
+def _reduce(
+    v: tuple[int, ...], rows: Rows, moduli: tuple[int, ...]
+) -> tuple[Optional[int], tuple[int, ...]]:
+    """Clear the entries of v column by column with multiples of the rows,
+    up to the first column whose entry the pivot there does not divide.
+
+    Returns that column (None when v reduces to zero) and what is left of v.
+    """
+    for j in range(len(v)):
+        a = v[j]
+        if a:
+            b = rows.get(j)
+            if b is None or a % b[j]:
+                return j, v
+            q = a // b[j]
+            v = tuple((p - q * r) % n for p, r, n in zip(v, b, moduli))
+    return None, v
+
+
+def _echelon(vectors: Iterable[tuple[int, ...]], moduli: tuple[int, ...]) -> Rows:
+    """Echelon (Hermite-style) basis of the span of ``vectors`` in prod Z_{m_j}.
+
+    Returns {j: b_j} in column order: b_j is zero before column j and its
+    pivot d_j = b_j[j] is a proper divisor of m_j; a column without a row
+    has d_j = m_j.  Every element is then sum_j c_j b_j for exactly one
+    choice of 0 <= c_j < m_j / d_j (Cohen, GTM 138, section 2.4).
+
+    Each vector v is reduced against the rows (``_reduce``).  If it stops
+    at column j, with a = v[j] not divisible by the pivot d there, the row
+    b becomes x v + y b, whose pivot is g = gcd(a, d) = x a + y d, and two
+    vectors that vanish at column j go back on the work list: (d/g) v -
+    (a/g) b, so the rows still span what v and b spanned, and (m_j/g) times
+    the new row, so the row's multiples stay inside the span of the rows
+    below it.  A column without a row is the case b = 0, d = m_j, where the
+    two vectors are multiples of (m_j/g) v and one of them suffices.  A
+    pivot only ever shrinks to a proper divisor, so the work is polynomial
+    in the number of generators and columns.
+    """
+    rows: Rows = {}
+    pending = [tuple(a % m for a, m in zip(v, moduli)) for v in vectors]
+    while pending:
+        j, v = _reduce(pending.pop(), rows, moduli)
+        if j is None:
+            continue
+        m, a = moduli[j], v[j]
+        b = rows.get(j)
+        if b is None:
+            g, x, _ = _xgcd(a, m)
+            rows[j] = tuple(x * p % n for p, n in zip(v, moduli))
+            fresh = [tuple((m // g) * p % n for p, n in zip(v, moduli))]
+        else:
+            d = b[j]
+            g, x, y = _xgcd(a, d)
+            row = rows[j] = tuple((x * p + y * r) % n for p, r, n in zip(v, b, moduli))
+            u, w = d // g, a // g
+            fresh = [
+                tuple((u * p - w * r) % n for p, r, n in zip(v, b, moduli)),
+                tuple((m // g) * p % n for p, n in zip(row, moduli)),
+            ]
+        pending += [f for f in fresh if any(f)]
+    return dict(sorted(rows.items()))
 
 
 class CentralSubgroup:
-    """A finite subgroup of the center, stored as a sorted element tuple."""
+    """A finite subgroup of the center.
+
+    ``Center.closure`` builds it from the echelon basis of its lattice in
+    Z_D^h x prod Z_{n_i}: the order, membership and the torus-invisible
+    kernel are read off the basis, and the sorted element tuple is listed
+    only when ``elements`` is first read.  Built from elements (as the
+    subgroup catalog builds it), it keeps them sorted.
+    """
+
+    _rows: Optional[Rows] = None
 
     def __init__(self, elements: Iterable[CentralElement]):
         self.elements = tuple(sorted(elements))
 
     @classmethod
-    def _sorted(cls, elements: tuple[CentralElement, ...]) -> "CentralSubgroup":
-        """Wrap a tuple of elements that is already sorted, without re-sorting."""
+    def _lattice(
+        cls, rows: Rows, moduli: tuple[int, ...], torus_rank: int
+    ) -> "CentralSubgroup":
         sub = cls.__new__(cls)
-        sub.elements = elements
+        sub._rows, sub._moduli, sub._torus_rank = rows, moduli, torus_rank
         return sub
+
+    @cached_property
+    def elements(self) -> tuple[CentralElement, ...]:
+        return self._list_elements()
+
+    def _list_elements(self) -> tuple[CentralElement, ...]:
+        """Every sum_j c_j b_j with 0 <= c_j < m_j / d_j, once each, sorted
+        (the order of their Fraction angles: the angles share the
+        denominator D)."""
+        moduli, h = self._moduli, self._torus_rank
+        # one list per column, grown a row at a time: the multiples k b_j,
+        # 0 <= k < m_j / d_j, are added to every vector listed so far
+        columns = [[0] for _ in moduli]
+        for j, row in self._rows.items():
+            count = moduli[j] // row[j]
+            columns = [
+                [(x + k * r) % m for k in range(count) for x in column]
+                if r
+                else column * count
+                for column, r, m in zip(columns, row, moduli)
+            ]
+        vectors = list(zip(*columns)) or [()]  # no columns: the trivial group
+        vectors.sort()
+        if not h:
+            return tuple(CentralElement((), x) for x in vectors)
+        denom = moduli[0]
+        angles = {k: Fraction(k, denom) for k in {k for x in vectors for k in x[:h]}}
+        return tuple(
+            CentralElement(tuple(map(angles.__getitem__, x[:h])), x[h:]) for x in vectors
+        )
+
+    def _torus_kernel(self) -> "CentralSubgroup":
+        """The elements with trivial torus part: the span of the rows whose
+        pivots lie in the SL columns (the basis is triangular and the torus
+        columns come first)."""
+        h = self._torus_rank
+        rows = {j: row for j, row in self._rows.items() if j >= h}
+        if len(rows) == len(self._rows):
+            return self
+        return CentralSubgroup._lattice(rows, self._moduli, h)
 
     @cached_property
     def _set(self) -> frozenset[CentralElement]:
         return frozenset(self.elements)
 
-    @property
+    @cached_property
     def order(self) -> int:
-        return len(self.elements)
+        if self._rows is None:
+            return len(self.elements)
+        moduli = self._moduli
+        order = 1
+        for j, row in self._rows.items():
+            order *= moduli[j] // row[j]
+        return order
 
     @property
     def nontrivial(self) -> bool:
-        return len(self.elements) > 1
+        return self.order > 1
+
+    @property
+    def torus_rank(self) -> int:
+        if self._rows is None:
+            return len(self.elements[0].torus_part)
+        return self._torus_rank
+
+    @property
+    def torus_trivial(self) -> bool:
+        """Do all elements have trivial torus part?"""
+        if self._rows is None:
+            return all(e.torus_trivial for e in self.elements)
+        return all(j >= self._torus_rank for j in self._rows)
 
     def __contains__(self, x: CentralElement) -> bool:
-        return x in self._set
+        if self._rows is None:
+            return x in self._set
+        moduli, h = self._moduli, self._torus_rank
+        denom = moduli[0] if h else 1
+        if (
+            len(x.torus_part) != h
+            or len(x.ss_part) != len(moduli) - h
+            or any(denom % c.denominator for c in x.torus_part)
+        ):
+            return False
+        v = tuple(a % m for a, m in zip(_integer_vector(x, denom), moduli))
+        return _reduce(v, self._rows, moduli)[0] is None
 
     def __iter__(self) -> Iterator[CentralElement]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CentralSubgroup) and self.elements == other.elements
@@ -247,7 +393,7 @@ class GroupSpec:
     def full_center_subgroup(self, cap: int = DEFAULT_SUBGROUP_CAP) -> CentralSubgroup:
         """Z0, the subgroup generated by the listed central generators.
 
-        Closed once per spec and kept on it; every call still raises
+        Echelonized once per spec and kept on it; every call still raises
         SubgroupCapExceeded when |Z0| exceeds its ``cap``.
         """
         full = self.__dict__.get("_full_center")
@@ -321,13 +467,13 @@ def canonical_decomposition(
 ) -> Decomposition:
     """Split Z0 into its torus-invisible kernel and the free torus part.
 
-    Computed once per spec and kept on it, like Z0 itself.
+    Both are read off the echelon basis of Z0, with no element listed, and
+    kept on the spec like Z0 itself.
     """
     full = spec.full_center_subgroup(cap)
     decomp = spec.__dict__.get("_decomposition")
     if decomp is None:
-        # a filtered sorted tuple is still sorted
-        ss_kernel = CentralSubgroup._sorted(tuple(e for e in full if e.torus_trivial))
+        ss_kernel = full._torus_kernel()
         decomp = Decomposition(
             spec=spec,
             full_center=full,
@@ -338,17 +484,16 @@ def canonical_decomposition(
     return decomp
 
 
-def _sign_flip_slots(
-    kernel: Iterable[CentralElement], factors: Sequence[int]
-) -> frozenset[int]:
-    """SL(2) slots whose sign flip -I (residue 1 there, 0 elsewhere) lies in
-    ``kernel``, read off the kernel's residue vectors."""
-    residues = {e.ss_part for e in kernel}
-    m = len(factors)
+def _sign_flip_slots(kernel: CentralSubgroup, factors: Sequence[int]) -> frozenset[int]:
+    """SL(2) slots whose sign flip -I (residue 1 there, 0 elsewhere) is a
+    member of ``kernel``."""
+    if kernel.order == 1:
+        return frozenset()
+    center = Center(kernel.torus_rank, factors)
     return frozenset(
         i
         for i, n in enumerate(factors)
-        if n == 2 and (0,) * i + (1,) + (0,) * (m - i - 1) in residues
+        if n == 2 and center.sl_center_generator(i) in kernel
     )
 
 
@@ -361,7 +506,7 @@ def is_sl2_center_product(
     product of the -I's of the slots in S, and the quotient of prod SL(n_i) by
     it is a product of SL factors and PGL(2) copies); otherwise None.
     """
-    if any(not e.torus_trivial for e in ss_kernel):
+    if not ss_kernel.torus_trivial:
         raise GroupSpecError("kernel subgroup must have trivial torus parts")
     slots = _sign_flip_slots(ss_kernel, factors)
     return slots if ss_kernel.order == 2 ** len(slots) else None

@@ -77,7 +77,8 @@ def lie_basis(n: int, mode: str = "sl") -> np.ndarray:
 
     Off-diagonal matrix units are already orthonormal; the diagonal part
     uses the staircase matrices diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)).
-    Returned as a stack of shape (d, n, n) with d = n^2 - 1 or n^2.
+    Returned as a stack of shape (d, n, n) with d = n^2 - 1 or n^2; sl_1 is
+    zero, so its stack is empty, of shape (0, 1, 1).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -98,7 +99,7 @@ def lie_basis(n: int, mode: str = "sl") -> np.ndarray:
         mats.append(np.diag(diag) / np.sqrt(k * (k + 1)))
     if mode == "gl":
         mats.append(np.eye(n, dtype=complex) / np.sqrt(n))
-    return np.stack(mats)
+    return np.array(mats, dtype=complex).reshape(len(mats), n, n)
 
 
 def adjoint_matrix(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -110,8 +111,9 @@ def adjoint_matrix(g: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _in_basis(blocks: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """B^H M B for each n^2 x n^2 block M of the stack, B = basis vectors as
     columns."""
-    vecs = basis.reshape(basis.shape[0], -1)
-    m = vecs.shape[1]
+    d, n, _ = basis.shape
+    m = n * n
+    vecs = basis.reshape(d, m)
     return vecs.conj() @ blocks.reshape(-1, m, m) @ vecs.T
 
 
@@ -611,7 +613,8 @@ def coboundary_matrix(
     if basis is None:
         basis = lie_basis(rep.n, rep.det_mode)
     d0, _ = _fox_differentials(rep)
-    return _in_basis(d0, basis).reshape(-1, basis.shape[0])
+    d = basis.shape[0]
+    return _in_basis(d0, basis).reshape(2 * rep.genus * d, d)
 
 
 def cocycle_matrix(
@@ -631,7 +634,7 @@ def cocycle_matrix(
     _, d1t = _fox_differentials(rep)
     d, m = basis.shape[0], rep.n * rep.n
     blocks = _in_basis(d1t.reshape(-1, m, m).swapaxes(-1, -2), basis)
-    return blocks.transpose(1, 0, 2).reshape(d, -1)
+    return blocks.transpose(1, 0, 2).reshape(d, 2 * rep.genus * d)
 
 
 def _fox_differentials(rep: SurfaceRep) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +49,42 @@ def test_decomposition_matches_oracle_on_mixed_denominators():
         assert_matches_oracle(spec)
 
 
+def test_lattice_matches_oracle_on_wider_moduli():
+    # moduli up to 12 and angle denominators up to 12: pivots that need
+    # several gcd steps; membership is checked on members and non-members
+    rnd = random.Random(3)
+    checked = 0
+    while checked < 60:
+        h = rnd.randint(0, 2)
+        factors = tuple(rnd.randint(2, 12) for _ in range(rnd.randint(1, 3)))
+        center = Center(h, factors)
+        gens = [
+            center.element(
+                [Fraction(rnd.randrange(d), d) for d in (rnd.randint(1, 12) for _ in range(h))],
+                [rnd.randrange(n) for n in factors],
+            )
+            for _ in range(rnd.randint(1, 4))
+        ]
+        denom = math.lcm(*(c.denominator for g in gens for c in g.torus_part))
+        if denom**h * math.prod(factors) > 3000:
+            continue  # keep the oracle's ambient group small
+        want = fraction_closure(center, gens)
+        got = center.closure(gens)
+        assert got.order == want.order and got.elements == want.elements
+        members = set(want)
+        probes = list(want)[:20] + [
+            center.element(
+                [Fraction(rnd.randrange(d), d) for d in (rnd.randint(1, 24) for _ in range(h))],
+                [rnd.randrange(n) for n in factors],
+            )
+            for _ in range(40)
+        ]
+        for x in probes:
+            assert (x in got) == (x in members), (factors, gens, x)
+        assert_matches_oracle(GroupSpec(h, factors, tuple(gens)))
+        checked += 1
+
+
 def test_closure_matches_oracle_in_every_generator_order():
     center = Center(2, (2, 4))
     gens = [
@@ -73,7 +112,7 @@ def test_closure_raises_at_cap_plus_one():
 
 
 def test_cap_still_enforced_after_memoized_closure():
-    spec = parse_group_spec("PGL(2)^4")  # parsing closes Z0 once, default cap
+    spec = parse_group_spec("PGL(2)^4")  # parsing echelonizes Z0 once, default cap
     assert spec.full_center_subgroup().order == 16
     with pytest.raises(SubgroupCapExceeded):
         spec.full_center_subgroup(15)

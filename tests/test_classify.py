@@ -11,6 +11,7 @@ from charvar.classify import (
     properties_report,
     singular_locus_codim,
 )
+from charvar.fixed_loci import min_nonfree_codim
 from charvar.groups import (
     Center,
     GroupSpec,
@@ -18,6 +19,7 @@ from charvar.groups import (
     is_sl2_center_product,
     parse_group_spec,
 )
+from charvar.strata import singular_codim_factor
 from conftest import mixed_denominator_specs, small_group_catalog
 
 
@@ -259,7 +261,7 @@ def test_against_independent_reimplementation():
 
 
 def test_genus1_verdict_agrees_with_kernel_scan():
-    # classify reads the decomposition; is_sl2_center_product rescans the kernel
+    # classify reads the decomposition; is_sl2_center_product tests each sign flip
     specs = list(small_group_catalog()) + mixed_denominator_specs()
     assert len(specs) == 623 + 150
     for spec in specs:
@@ -278,3 +280,32 @@ def test_genus1_verdict_agrees_with_kernel_scan():
 def test_catalog_is_substantial():
     # guard against the enumeration silently collapsing
     assert len(small_group_catalog()) > 300
+
+
+# ------------------------------------- closed-form singular codimension
+
+
+def kernel_scan_singular_codim(spec, genus):
+    """The former definition: the factor minimum against a scan of every
+    nontrivial kernel twist."""
+    if not spec.nonabelian:
+        return None
+    best = min(singular_codim_factor(n, genus) for n in spec.factors)
+    nonfree = min_nonfree_codim(canonical_decomposition(spec), genus)
+    return best if nonfree is None else min(best, nonfree[0])
+
+
+def test_singular_codim_matches_kernel_scan():
+    specs = list(small_group_catalog()) + mixed_denominator_specs()
+    assert len(specs) == 623 + 150
+    twisted = 0
+    for spec in specs:
+        for genus in (1, 2, 3):
+            got = singular_locus_codim(spec, genus)
+            assert got == kernel_scan_singular_codim(spec, genus), (spec, genus)
+            nonfree = spec.nonabelian and min_nonfree_codim(canonical_decomposition(spec), genus)
+            if nonfree:
+                twisted += 1
+                # the inequality of the docstring: strict above genus one
+                assert nonfree[0] > got if genus >= 2 else nonfree[0] >= got
+    assert twisted > 1000

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from charvar import classify, cli, verify
+from charvar import classify, cli, fixed_loci, groups, verify
+from charvar.groups import CentralSubgroup
 
 
 def run(capsys, *argv):
@@ -280,23 +281,78 @@ def test_oracle_runs_once_per_distinct_case(capsys, monkeypatch):
     assert sorted(tangent) == sorted(numeric) == [(2, 1, 2), (2, 2, 2)]
 
 
-def test_analyze_plans_once_and_scans_the_kernel_once(capsys, monkeypatch):
+def test_analyze_plans_once_and_never_scans_the_kernel(capsys, monkeypatch):
     plans = _count_calls(monkeypatch, cli, "plan_terminalization")
-    scans = _count_calls(monkeypatch, classify, "min_nonfree_codim")
+    scans = _count_calls(monkeypatch, fixed_loci, "min_nonfree_codim")
     code, out, err = run(capsys, "analyze", "--group", "PGL(2)^5", "--genus", "2")
     assert code == 0, err
     assert len(plans) == 1
-    assert len(scans) == 1
+    assert len(scans) == 0
 
 
-def test_classify_reports_properties_once_and_scans_the_kernel_once(capsys, monkeypatch):
+def test_classify_reports_properties_once_and_never_scans_the_kernel(capsys, monkeypatch):
     reports = _count_calls(monkeypatch, classify, "properties_report")
-    scans = _count_calls(monkeypatch, classify, "min_nonfree_codim")
+    scans = _count_calls(monkeypatch, fixed_loci, "min_nonfree_codim")
     code, out, err = run(capsys, "classify", "--group", "PGL(2)^5", "--genus", "2", "--json")
     assert code == 0, err
     assert json.loads(out)["properties"]["singular_codim"] == 2
     assert len(reports) == 1
+    assert len(scans) == 0
+
+
+def test_fixed_loci_scans_the_kernel_once(capsys, monkeypatch):
+    scans = _count_calls(monkeypatch, fixed_loci, "min_nonfree_codim")
+    code, out, err = run(capsys, "fixed-loci", "--group", "PGL(2)^5", "--genus", "2", "--json")
+    assert code == 0, err
+    assert json.loads(out)["min_codim"] == 4
     assert len(scans) == 1
+
+
+def _count_listings(monkeypatch):
+    """Orders of the subgroups whose elements get listed."""
+    listed = []
+    real = CentralSubgroup._list_elements
+
+    def counted(self):
+        listed.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(CentralSubgroup, "_list_elements", counted)
+    return listed
+
+
+@pytest.mark.parametrize("genus", ["1", "2"])
+def test_classify_and_terminalize_list_no_element(capsys, monkeypatch, genus):
+    # |Z0| = 2^19 is just under the cap; both answers need only orders
+    listed = _count_listings(monkeypatch)
+    verdict = run_json(capsys, "classify", "--group", "PGL(2)^19", "--genus", genus)
+    plan = run_json(capsys, "terminalize", "--group", "PGL(2)^19", "--genus", genus)
+    assert listed == []
+    assert verdict["has_resolution"] == (genus == "1")
+    assert plan["smooth"] == (genus == "1")
+    # the counter is live: a command that prints Z0 lists it, once
+    run_json(capsys, "fixed-loci", "--group", "PGL(2)^5", "--genus", genus)
+    assert listed == [32]
+
+
+def test_cap_refusal_lists_nothing_and_comes_before_any_work(capsys, monkeypatch):
+    listed = _count_listings(monkeypatch)
+    decompositions = _count_calls(monkeypatch, groups, "canonical_decomposition")
+    verdicts = _count_calls(monkeypatch, classify, "classify_resolution")
+    code, out, err = run(capsys, "classify", "--group", "PGL(2)^40", "--genus", "1")
+    assert code == 1
+    assert "error[group-spec]" in err and "cap" in err
+    assert out == ""
+    assert listed == [] and decompositions == [] and verdicts == []
+
+
+def test_analyze_lists_only_the_kernel(capsys, monkeypatch):
+    # GL(2)^3 x PGL(2)^2: |Z0| = 32, kernel of order 4
+    listed = _count_listings(monkeypatch)
+    report = run_json(capsys, "analyze", "--group", "GL(2)^3xPGL(2)^2", "--genus", "2")
+    assert report["decomposition"]["center_order"] == 32
+    assert len(report["decomposition"]["ss_kernel"]) == 4
+    assert listed == [4]
 
 
 def test_all_lists_public_names_only():

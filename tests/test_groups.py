@@ -122,7 +122,7 @@ def test_closure_order_independent():
 
 
 def test_closure_and_kernel_are_sorted():
-    # closure and the kernel filter skip the constructor's sort
+    # the lattice listing sorts its vectors itself, not through the constructor
     for spec in list(small_group_catalog()) + mixed_denominator_specs():
         decomp = canonical_decomposition(spec)
         for sub in (decomp.full_center, decomp.ss_kernel):

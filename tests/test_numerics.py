@@ -139,6 +139,22 @@ def test_fox_differentials_match_basis_oracle():
         assert np.linalg.norm(d1 - want1) <= 1e-10 * np.linalg.norm(want1), key
 
 
+def test_sl1_differentials_are_empty_and_match_cohomology_dims():
+    # sl_1 = 0: the basis stack is empty and both differentials are 0 x 0
+    assert lie_basis(1, "sl").shape == (0, 1, 1)
+    one = np.eye(1, dtype=complex)
+    for genus in (1, 2, 3):
+        rep = SurfaceRep(genus, 1, (one,) * genus, (one,) * genus)
+        assert coboundary_matrix(rep).shape == (0, 0)
+        assert cocycle_matrix(rep).shape == (0, 0)
+        report = cohomology_dims(rep)
+        assert (report.h0, report.h1, report.h2, report.dim_g) == (0, 0, 0, 0)
+    # gl_1 keeps its one basis vector: 2g x 1 and 1 x 2g zero blocks
+    rep = SurfaceRep(2, 1, (one,) * 2, (one,) * 2, det_mode="gl")
+    assert coboundary_matrix(rep).shape == (4, 1)
+    assert cocycle_matrix(rep).shape == (1, 4)
+
+
 def test_gl_coordinate_singular_values_match_basis_ones():
     # gl: a unitary change of basis; sl: the sl differential plus a zero block
     for rep in _oracle_reps():
