@@ -26,7 +26,7 @@ for name in ("SL(3)", "GL(2)", "PGL(4)", "SL(2)xPGL(2)", "SL(2)^3"):
 center = Center(0, (2, 4))
 tau = center.element([], (1, 2))
 print("\norder of (1,2) in mu_2 x mu_4:", center.order(tau))
-print("2*(1,2) is the identity:", center.add(tau, tau).is_identity)
+print("order of the subgroup it generates:", center.closure([tau]).order)
 
 # a hand-built quotient: SL(2) x SL(4) mod the diagonal order-2 element
 spec = GroupSpec(0, (2, 4), (tau,))

@@ -9,10 +9,16 @@ sitting inside the SL factors have fixed loci of computable codimension:
   genus one:   sum_i 2 n_i (1 - 1/l_i)          (orbit counting on (C*)^2)
   genus >= 2:  2(g-1) sum_i n_i^2 (1 - 1/l_i)   (tangent space counting)
 
-where l_i is the order of the twist data in factor i (for a tuple of
-central elements, one per surface group generator, the lcm of the
-component orders).  Two brute-force oracles recompute these numbers from
-first principles and are compared against the closed forms in the tests.
+where l_i is the order of the twist's residue in factor i.
+
+The two brute-force oracles below, ``genus1_orbit_oracle`` and
+``fixed_tangent_oracle``, re-derive these numbers rather than check them
+independently: the tangent walk admits only the constant composition (so
+it checks l | n and the value n^2/l), and the orbit oracle takes the same
+lcm of orders as the genus-one closed form.
+The remaining cross-check is ``numerics.fixed_point_tangent_check``, a
+floating-point eigenspace count at an explicit fixed tuple, until an exact
+tangent rank replaces it.
 """
 
 from __future__ import annotations
@@ -21,11 +27,9 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .groups import CentralElement, Decomposition
-
-TwistLike = Union[CentralElement, Sequence[CentralElement]]
 
 
 @dataclass(frozen=True)
@@ -54,22 +58,9 @@ class FixedLocusResult:
         }
 
 
-def _as_tuple(twist: TwistLike) -> tuple[CentralElement, ...]:
-    if isinstance(twist, CentralElement):
-        return (twist,)
-    return tuple(twist)
-
-
-def per_factor_orders(
-    twist: TwistLike, factors: Sequence[int]
-) -> tuple[int, ...]:
-    """Order of the factor-i data of the twist: lcm over its components."""
-    elements = _as_tuple(twist)
-    orders = []
-    for i, n in enumerate(factors):
-        component_orders = [n // gcd(e.ss_part[i], n) for e in elements]
-        orders.append(lcm(*component_orders) if component_orders else 1)
-    return tuple(orders)
+def per_factor_orders(tau: CentralElement, factors: Sequence[int]) -> tuple[int, ...]:
+    """Order of the twist's residue in each factor."""
+    return tuple(n // gcd(a, n) for a, n in zip(tau.ss_part, factors))
 
 
 def codim_highgenus_from_orders(
@@ -92,27 +83,26 @@ def _codim_from_orders(factors: Sequence[int], orders: Sequence[int], genus: int
     return codim_highgenus_from_orders(factors, orders, genus)
 
 
-def _fixed_codim(twist: TwistLike, factors: Sequence[int], genus: int) -> FixedLocusResult:
-    elements = _as_tuple(twist)
-    if any(not e.torus_trivial for e in elements):
+def _fixed_codim(tau: CentralElement, factors: Sequence[int], genus: int) -> FixedLocusResult:
+    if not tau.torus_trivial:
         return FixedLocusResult(None, (), "nontrivial torus coordinate: free twist")
-    orders = per_factor_orders(elements, factors)
+    orders = per_factor_orders(tau, factors)
     note = "orbit count per factor" if genus == 1 else "tangent count per factor"
     return FixedLocusResult(_codim_from_orders(factors, orders, genus), orders, note)
 
 
 def fixed_codim_highgenus(
-    twist: TwistLike, factors: Sequence[int], genus: int
+    tau: CentralElement, factors: Sequence[int], genus: int
 ) -> FixedLocusResult:
     """Codimension of the fixed locus of a central twist, genus >= 2."""
     if genus < 2:
         raise ValueError("use fixed_codim_genus1 for genus one")
-    return _fixed_codim(twist, factors, genus)
+    return _fixed_codim(tau, factors, genus)
 
 
-def fixed_codim_genus1(twist: TwistLike, factors: Sequence[int]) -> FixedLocusResult:
+def fixed_codim_genus1(tau: CentralElement, factors: Sequence[int]) -> FixedLocusResult:
     """Codimension of the fixed locus of a central twist at genus one."""
-    return _fixed_codim(twist, factors, 1)
+    return _fixed_codim(tau, factors, 1)
 
 
 def min_nonfree_codim(
@@ -135,8 +125,7 @@ def min_nonfree_codim(
     factors = decomp.factors
 
     def codim(tau: CentralElement) -> int:
-        orders = [n // gcd(a, n) for a, n in zip(tau.ss_part, factors)]
-        return _codim_from_orders(factors, orders, genus)
+        return _codim_from_orders(factors, per_factor_orders(tau, factors), genus)
 
     tau = min(candidates, key=codim)
     return codim(tau), tau

@@ -15,10 +15,11 @@ answer that needs only orders is read off them: |Z0| = prod_j m_j / d_j
 (checked against the size cap before any element exists), the
 torus-invisible kernel is spanned by the rows whose pivots lie in the SL
 columns, and an SL(2) slot is a PGL(2) slot exactly when its sign flip is a
-member of the lattice.  Elements are listed, once, only when an answer
-prints them.  A GroupSpec is immutable, so Z0 and its canonical
-decomposition are computed once per spec instance and kept on it; every
-later query on the same spec reuses them.
+member of the lattice.  A ``CentralSubgroup`` holds nothing but this
+basis; its elements are listed, once, only when an answer prints them.  A
+GroupSpec is immutable, so Z0 and its canonical decomposition are computed
+once per spec instance and kept on it; every later query on the same spec
+reuses them.
 
 Everything here is exact integer/rational arithmetic; no floats enter the
 combinatorial layer.
@@ -32,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_SUBGROUP_CAP = 10**6
@@ -77,8 +78,8 @@ class Center:
     >>> e = c.element([], [1, 0])
     >>> c.order(e)
     2
-    >>> c.add(e, e).is_identity
-    True
+    >>> c.closure([e]).order
+    2
     """
 
     def __init__(self, torus_rank: int, factors: Sequence[int]):
@@ -88,8 +89,11 @@ class Center:
     def element(
         self, torus: Sequence[RationalLike] = (), ss: Sequence[int] = ()
     ) -> CentralElement:
-        torus = tuple(_parse_rational(c) for c in torus)
-        ss = tuple(int(a) for a in ss)
+        if not (isinstance(torus, (list, tuple)) and isinstance(ss, (list, tuple))):
+            raise GroupSpecError("torus coordinates and residues must be lists")
+        if not all(map(_is_int, ss)):
+            raise GroupSpecError(f"residues must be integers, got {list(ss)!r}")
+        torus, ss = tuple(_parse_rational(c) for c in torus), tuple(ss)
         if len(torus) != self.torus_rank:
             raise GroupSpecError(
                 f"expected {self.torus_rank} torus coordinates, got {len(torus)}"
@@ -105,11 +109,6 @@ class Center:
 
     def identity(self) -> CentralElement:
         return CentralElement((Fraction(0),) * self.torus_rank, (0,) * len(self.factors))
-
-    def add(self, x: CentralElement, y: CentralElement) -> CentralElement:
-        torus = tuple((a + b) % 1 for a, b in zip(x.torus_part, y.torus_part))
-        ss = tuple((a + b) % n for a, b, n in zip(x.ss_part, y.ss_part, self.factors))
-        return CentralElement(torus, ss)
 
     def order(self, x: CentralElement) -> int:
         return element_order(x, self.factors)
@@ -139,7 +138,7 @@ class Center:
         denom = lcm(*(c.denominator for g in gens for c in g.torus_part))
         moduli = (denom,) * self.torus_rank + self.factors
         vectors = [_integer_vector(g, denom) for g in gens]
-        sub = CentralSubgroup._lattice(_echelon(vectors, moduli), moduli, self.torus_rank)
+        sub = CentralSubgroup(_echelon(vectors, moduli), moduli, self.torus_rank)
         if sub.order > cap:
             raise SubgroupCapExceeded(f"central subgroup exceeds cap of {cap} elements")
         return sub
@@ -230,27 +229,16 @@ def _echelon(vectors: Iterable[tuple[int, ...]], moduli: tuple[int, ...]) -> Row
 
 
 class CentralSubgroup:
-    """A finite subgroup of the center.
+    """A finite subgroup of the center, kept as the echelon basis of its
+    lattice in Z_D^h x prod Z_{n_i} (see ``_echelon``).
 
-    ``Center.closure`` builds it from the echelon basis of its lattice in
-    Z_D^h x prod Z_{n_i}: the order, membership and the torus-invisible
-    kernel are read off the basis, and the sorted element tuple is listed
-    only when ``elements`` is first read.  Built from elements (as the
-    subgroup catalog builds it), it keeps them sorted.
+    ``Center.closure`` builds it: the order, membership and the
+    torus-invisible kernel are read off the basis, and the sorted element
+    tuple is listed only when ``elements`` is first read.
     """
 
-    _rows: Optional[Rows] = None
-
-    def __init__(self, elements: Iterable[CentralElement]):
-        self.elements = tuple(sorted(elements))
-
-    @classmethod
-    def _lattice(
-        cls, rows: Rows, moduli: tuple[int, ...], torus_rank: int
-    ) -> "CentralSubgroup":
-        sub = cls.__new__(cls)
-        sub._rows, sub._moduli, sub._torus_rank = rows, moduli, torus_rank
-        return sub
+    def __init__(self, rows: Rows, moduli: tuple[int, ...], torus_rank: int):
+        self._rows, self._moduli, self.torus_rank = rows, moduli, torus_rank
 
     @cached_property
     def elements(self) -> tuple[CentralElement, ...]:
@@ -260,7 +248,7 @@ class CentralSubgroup:
         """Every sum_j c_j b_j with 0 <= c_j < m_j / d_j, once each, sorted
         (the order of their Fraction angles: the angles share the
         denominator D)."""
-        moduli, h = self._moduli, self._torus_rank
+        moduli, h = self._moduli, self.torus_rank
         # one list per column, grown a row at a time: the multiples k b_j,
         # 0 <= k < m_j / d_j, are added to every vector listed so far
         columns = [[0] for _ in moduli]
@@ -286,47 +274,27 @@ class CentralSubgroup:
         """The elements with trivial torus part: the span of the rows whose
         pivots lie in the SL columns (the basis is triangular and the torus
         columns come first)."""
-        h = self._torus_rank
+        h = self.torus_rank
         rows = {j: row for j, row in self._rows.items() if j >= h}
         if len(rows) == len(self._rows):
             return self
-        return CentralSubgroup._lattice(rows, self._moduli, h)
-
-    @cached_property
-    def _set(self) -> frozenset[CentralElement]:
-        return frozenset(self.elements)
+        return CentralSubgroup(rows, self._moduli, h)
 
     @cached_property
     def order(self) -> int:
-        if self._rows is None:
-            return len(self.elements)
-        moduli = self._moduli
-        order = 1
-        for j, row in self._rows.items():
-            order *= moduli[j] // row[j]
-        return order
+        return prod(self._moduli[j] // row[j] for j, row in self._rows.items())
 
     @property
     def nontrivial(self) -> bool:
         return self.order > 1
 
     @property
-    def torus_rank(self) -> int:
-        if self._rows is None:
-            return len(self.elements[0].torus_part)
-        return self._torus_rank
-
-    @property
     def torus_trivial(self) -> bool:
         """Do all elements have trivial torus part?"""
-        if self._rows is None:
-            return all(e.torus_trivial for e in self.elements)
-        return all(j >= self._torus_rank for j in self._rows)
+        return all(j >= self.torus_rank for j in self._rows)
 
     def __contains__(self, x: CentralElement) -> bool:
-        if self._rows is None:
-            return x in self._set
-        moduli, h = self._moduli, self._torus_rank
+        moduli, h = self._moduli, self.torus_rank
         denom = moduli[0] if h else 1
         if (
             len(x.torus_part) != h
@@ -534,10 +502,15 @@ def char_variety_dim(spec: GroupSpec, genus: int) -> int:
 _PRESET_TOKEN = re.compile(r"(SL|GL|PGL)\((\d+)\)(?:\^(\d+))?", re.IGNORECASE)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``true`` is not 1 here)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         f = x
-    elif isinstance(x, int):
+    elif _is_int(x):
         f = Fraction(x)
     elif isinstance(x, str):
         try:
@@ -553,25 +526,6 @@ def _parse_rational(x: RationalLike) -> Fraction:
     return f
 
 
-def _preset_triple(kind: str, n: int) -> tuple[int, list[int], list[tuple]]:
-    """(torus_rank, factors, raw generators) for one preset token."""
-    if n < 1:
-        raise GroupSpecError(f"preset size must be >= 1, got {n}")
-    kind = kind.upper()
-    if kind == "SL":
-        return 0, [n] if n >= 2 else [], []
-    if kind == "PGL":
-        if n < 2:
-            return 0, [], []
-        return 0, [n], [((), (1,))]
-    if kind == "GL":
-        if n < 2:
-            return 1, [], []
-        # GL(n) = (C* x SL(n)) / mu_n embedded as (angle 1/n, residue n-1)
-        return 1, [n], [((Fraction(1, n),), (n - 1,))]
-    raise GroupSpecError(f"unknown preset kind {kind!r}")
-
-
 def preset_group_spec(name: str) -> GroupSpec:
     """Expand a preset expression: SL(n), GL(n), PGL(n), joined by 'x', '^k'.
 
@@ -583,31 +537,30 @@ def preset_group_spec(name: str) -> GroupSpec:
     text = name.replace(" ", "")
     if not text:
         raise GroupSpecError("empty group expression")
-    torus_rank = 0
-    factors: list[int] = []
-    gen_triples: list[tuple[int, int, tuple]] = []  # (torus offset, factor offset, raw)
+    presets: list[tuple[str, int]] = []  # (kind, n), one per direct factor
     for token in text.split("x"):
         m = _PRESET_TOKEN.fullmatch(token)
         if not m:
             raise GroupSpecError(f"unknown preset {token!r}")
-        kind, n, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-        for _ in range(power):
-            h_j, f_j, g_j = _preset_triple(kind, n)
-            for raw in g_j:
-                gen_triples.append((torus_rank, len(factors), raw))
-            torus_rank += h_j
-            factors.extend(f_j)
-    center = Center(torus_rank, factors)
+        n = int(m.group(2))
+        if n < 1:
+            raise GroupSpecError(f"preset size must be >= 1, got {n}")
+        presets += [(m.group(1).upper(), n)] * int(m.group(3) or 1)
+    torus_rank = sum(kind == "GL" for kind, _ in presets)
+    factors = tuple(n for _, n in presets if n >= 2)
     generators = []
-    for t_off, f_off, (torus, ss) in gen_triples:
-        full_torus = [Fraction(0)] * torus_rank
-        full_ss = [0] * len(factors)
-        for k, c in enumerate(torus):
-            full_torus[t_off + k] = c
-        for k, a in enumerate(ss):
-            full_ss[f_off + k] = a
-        generators.append(center.element(full_torus, full_ss))
-    return GroupSpec(torus_rank, tuple(factors), tuple(generators))
+    t = i = 0  # the preset's torus coordinate and SL slot
+    for kind, n in presets:
+        if n >= 2 and kind != "SL":
+            torus, ss = [Fraction(0)] * torus_rank, [0] * len(factors)
+            if kind == "PGL":
+                ss[i] = 1
+            else:  # GL(n) = (C* x SL(n)) / mu_n embedded as (angle 1/n, residue n-1)
+                torus[t], ss[i] = Fraction(1, n), n - 1
+            generators.append(CentralElement(tuple(torus), tuple(ss)))
+        t += kind == "GL"
+        i += n >= 2
+    return GroupSpec(torus_rank, factors, tuple(generators))
 
 
 def spec_from_json(data: dict, cap: int = DEFAULT_SUBGROUP_CAP) -> GroupSpec:
@@ -619,18 +572,22 @@ def spec_from_json(data: dict, cap: int = DEFAULT_SUBGROUP_CAP) -> GroupSpec:
         raise GroupSpecError(f"unknown keys in group JSON: {sorted(unknown)}")
     torus_rank = data.get("torus_rank", 0)
     factors = data.get("factors", [])
-    if not isinstance(torus_rank, int):
+    items = data.get("central_generators", [])
+    if not _is_int(torus_rank):
         raise GroupSpecError("torus_rank must be an integer")
-    if not isinstance(factors, list) or not all(isinstance(n, int) for n in factors):
+    if not isinstance(factors, list) or not all(map(_is_int, factors)):
         raise GroupSpecError("factors must be a list of integers")
+    if not isinstance(items, list):
+        raise GroupSpecError("central_generators must be a list")
     center = Center(torus_rank, factors)
     generators = []
-    for item in data.get("central_generators", []):
+    for item in items:
         if not isinstance(item, dict):
             raise GroupSpecError("each central generator must be an object")
-        generators.append(
-            center.element(item.get("torus", []), item.get("factors", []))
-        )
+        unknown = set(item) - {"torus", "factors"}
+        if unknown:
+            raise GroupSpecError(f"unknown keys in central generator: {sorted(unknown)}")
+        generators.append(center.element(item.get("torus", []), item.get("factors", [])))
     spec = GroupSpec(torus_rank, tuple(int(n) for n in factors), tuple(generators))
     spec.full_center_subgroup(cap)  # enforce the size cap up front
     return spec
@@ -672,40 +629,32 @@ def enumerate_central_subgroups(
 ) -> list[CentralSubgroup]:
     """All subgroups of prod_i Z_{n_i}, sorted by (order, elements).
 
-    Lattice walk: repeatedly join known subgroups with cyclic subgroups.
-    The join S + <x> only depends on <x> and, the group being abelian, is
-    literally the set of sums, so no closure iteration is needed.
+    Lattice walk: one generator per cyclic subgroup, and each subgroup
+    found is joined with each generator outside it, as the closure of its
+    echelon rows plus that generator.  Every subgroup is such a join of
+    cyclic ones, so the walk from the trivial group reaches them all.
     """
-    total = 1
-    for n in factors:
-        total *= n
+    total = prod(factors)
     if total > cap:
         raise SubgroupCapExceeded(
             f"full center has order {total}, above the cap {cap}"
         )
     center = Center(0, factors)
-    full = [
-        center.element([], ss)
-        for ss in itertools.product(*[range(n) for n in factors])
-    ]
-    cyclics: set[frozenset[CentralElement]] = set()
-    for x in full:
-        powers = [x]
-        while not powers[-1].is_identity:
-            powers.append(center.add(powers[-1], x))
-        cyclics.add(frozenset(powers))
-    trivial = CentralSubgroup([center.identity()])
-    known = {trivial}
+    cyclics: dict[tuple[CentralElement, ...], CentralElement] = {}
+    for ss in itertools.product(*[range(n) for n in factors]):
+        x = CentralElement((), ss)
+        cyclics.setdefault(center.closure([x]).elements, x)
+    trivial = center.closure([])
+    known = {trivial.elements: trivial}
     frontier = [trivial]
     while frontier:
         sub = frontier.pop()
-        for cyc in cyclics:
-            if cyc <= sub._set:
+        rows = [CentralElement((), row) for row in sub._rows.values()]
+        for x in cyclics.values():
+            if x in sub:
                 continue
-            bigger = CentralSubgroup(
-                {center.add(s, c) for s in sub.elements for c in cyc}
-            )
-            if bigger not in known:
-                known.add(bigger)
+            bigger = center.closure(rows + [x])
+            if bigger.elements not in known:
+                known[bigger.elements] = bigger
                 frontier.append(bigger)
-    return sorted(known, key=lambda s: (s.order, s.elements))
+    return sorted(known.values(), key=lambda s: (s.order, s.elements))

@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from center_oracle import coset_decomposition, fraction_closure
+from center_oracle import coset_decomposition, fraction_closure, subgroup_walk
 from charvar import cli
 from charvar.groups import (
     Center,
     GroupSpec,
     SubgroupCapExceeded,
     canonical_decomposition,
+    enumerate_central_subgroups,
     parse_group_spec,
 )
 from conftest import mixed_denominator_specs, small_group_catalog
@@ -95,10 +96,30 @@ def test_closure_matches_oracle_in_every_generator_order():
     want = fraction_closure(center, gens)
     for order in (gens, gens[::-1], gens[1:] + gens[:1]):
         got = center.closure(order)
-        assert got == want
+        assert got.elements == want.elements
         assert [str(c) for e in got for c in e.torus_part] == [
             str(c) for e in want for c in e.torus_part
         ]
+
+
+def test_enumerator_matches_the_frozenset_walk_on_catalog_factors():
+    factor_tuples = sorted({spec.factors for spec in small_group_catalog()})
+    assert len(factor_tuples) == 34
+    for factors in factor_tuples:
+        got = [sub.elements for sub in enumerate_central_subgroups(factors)]
+        assert got == [sub.elements for sub in subgroup_walk(factors)], factors
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_cyclic_group_has_one_subgroup_per_divisor(n):
+    divisors = sum(n % d == 0 for d in range(1, n + 1))
+    assert len(enumerate_central_subgroups((n,))) == divisors
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_elementary_abelian_square_has_p_plus_3_subgroups(p):
+    # the trivial group, the p + 1 lines, and the whole group
+    assert len(enumerate_central_subgroups((p, p))) == p + 3
 
 
 def test_closure_raises_at_cap_plus_one():

@@ -122,6 +122,31 @@ def test_input_errors_exit_1(capsys, argv):
     assert err.startswith("error[")
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"factors": [2], "central_generators": [{"factors": [None]}]},
+        {"factors": [2], "central_generators": [{"factors": [1.5]}]},
+        {"factors": [2], "central_generators": [{"factors": ["1"]}]},
+        {"factors": [2], "central_generators": [{"factors": [True]}]},
+        {"factors": [2], "central_generators": [{"factors": 5}]},
+        {"factors": [2], "central_generators": [{"factors": "1"}]},
+        {"factors": [2], "central_generators": [{"factor": [1]}]},
+        {"factors": [2], "central_generators": 5},
+        {"torus_rank": 1, "factors": [2], "central_generators": [{"torus": 5, "factors": [1]}]},
+        {"torus_rank": 1, "factors": [2], "central_generators": [{"torus": [False], "factors": [1]}]},
+        {"torus_rank": True, "factors": [2]},
+        {"factors": [True, 2]},
+    ],
+    ids=repr,
+)
+def test_malformed_generator_fields_are_group_spec_errors(capsys, group):
+    code, out, err = run(capsys, "classify", "--group", json.dumps(group), "--genus", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error[group-spec]")
+    assert "Traceback" not in err
+
+
 def test_size_limit_names_n_and_the_limit(capsys):
     limit = cli.MAX_LISTED_N
     for command in ("strata", "analyze"):

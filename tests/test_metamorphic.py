@@ -10,6 +10,7 @@ apart from the group spec it echoes back.
 import json
 import random
 
+from center_oracle import add
 from charvar import cli
 from charvar.groups import GroupSpec
 from conftest import small_group_catalog
@@ -40,7 +41,7 @@ def _redundant_words(spec, rnd):
     identity, shuffled."""
     center = spec.center()
     gens = list(spec.central_generators)
-    words = [center.add(rnd.choice(gens), rnd.choice(gens)) for _ in range(3)]
+    words = [add(spec.factors, rnd.choice(gens), rnd.choice(gens)) for _ in range(3)]
     words += [rnd.choice(gens), center.identity()]
     padded = gens + words
     rnd.shuffle(padded)
