@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
         "--oracle",
         action="store_true",
         default=None,
-        help="cross-check each codimension against brute-force counts",
+        help="cross-check each codimension against combinatorial and numeric counts",
     )
 
     p = sub.add_parser("terminalize", help="Q-factorial terminalization plan")

@@ -11,14 +11,20 @@ sitting inside the SL factors have fixed loci of computable codimension:
 
 where l_i is the order of the twist's residue in factor i.
 
-The two brute-force oracles below, ``genus1_orbit_oracle`` and
-``fixed_tangent_oracle``, re-derive these numbers rather than check them
-independently: the tangent walk admits only the constant composition (so
-it checks l | n and the value n^2/l), and the orbit oracle takes the same
-lcm of orders as the genus-one closed form.
+The two oracles below, ``genus1_orbit_oracle`` and ``fixed_tangent_oracle``,
+re-derive these numbers rather than check them independently: the orbit
+oracle takes the same lcm of orders as the genus-one closed form, and the
+tangent count admits only the constant multiplicity vector, so it checks
+l | n and the value n^2/l.  The tangent count searches shift subgroups
+first: for each d | l it decides by a gcd search whether dZ/l carries a
+2g-tuple of gcd 1 with l, and walks only the multiplicity vectors of period
+d, so its cost is polynomial where the walk over all C(n+l-1, l-1)
+compositions was exponential; it returns the same maximum, because the
+shifts fixing a vector are exactly the subgroup of its least period.
 The remaining cross-check is ``numerics.fixed_point_tangent_check``, a
-floating-point eigenspace count at an explicit fixed tuple, until an exact
-tangent rank replaces it.
+floating-point eigenspace count at an explicit fixed tuple.  An exact count
+over F_p at a genuine fixed representation, which would check the closed
+form independently, is still open.
 """
 
 from __future__ import annotations
@@ -132,7 +138,7 @@ def min_nonfree_codim(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# oracles
 # ---------------------------------------------------------------------------
 
 def genus1_orbit_oracle(n: int, pair: tuple[int, int]) -> Optional[int]:
@@ -169,16 +175,26 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
-def _has_unit_gcd_tuple(shifts: Sequence[int], modulus: int, length: int) -> bool:
-    """Is there a length-``length`` tuple over ``shifts`` with gcd 1 mod modulus?"""
-    for combo in itertools.product(shifts, repeat=length):
-        if gcd(*combo, modulus) == 1:
-            return True
-    return False
+def _reaches_unit_gcd(shifts: Sequence[int], modulus: int, length: int) -> bool:
+    """Is there a length-``length`` tuple over ``shifts`` with gcd 1 mod modulus?
+
+    A search over reachable gcds rather than over tuples: the gcds of the
+    length-j tuples are gcd(r, k) for r a gcd of length j - 1 and k a shift.
+    The shifts must hold 0, as every subgroup does: gcd(r, 0) = r keeps each
+    reached gcd reachable one step later, so the reached set only grows and
+    the search stops once it is unchanged.
+    """
+    reached = {modulus}  # the gcd of the empty tuple
+    for _ in range(length):
+        grown = {gcd(r, k) for r in reached for k in shifts}
+        if grown == reached:
+            break
+        reached = grown
+    return 1 in reached
 
 
 def fixed_tangent_oracle(n: int, ell: int, genus: int) -> Optional[int]:
-    """Fixed-locus codimension for genus >= 2, by brute-force tangent count.
+    """Fixed-locus codimension for genus >= 2, by a combinatorial tangent count.
 
     A representation fixed by an order-l central twist is normalized by a
     matrix A with eigenvalue multiplicities (m_0 .. m_{l-1}) over the l-th
@@ -187,23 +203,31 @@ def fixed_tangent_oracle(n: int, ell: int, genus: int) -> Optional[int]:
     of the normalizing data forces gcd(k_1, ..., k_{2g}, l) = 1.  The locus
     of maximal dimension minimizes n^2 - sum_i m_i^2.  Returns None when no
     multiplicity vector survives the constraints (l does not divide n).
+
+    The shifts that fix m are the subgroup dZ/l of its least period d, so
+    the search goes subgroup first: for each d | l, decide by
+    ``_reaches_unit_gcd`` whether dZ/l carries a 2g-tuple of gcd 1 with l,
+    and only for such a d walk the vectors dZ/l fixes, a head of d parts
+    repeated l/d times.  That is the maximum over all C(n+l-1, l-1)
+    compositions: each admissible m is reached at its own least period,
+    and a vector walked at d has a shift set containing dZ/l, so it is
+    admissible too.
     """
     if genus < 2:
         raise ValueError("tangent oracle requires genus >= 2")
     if ell < 1:
         raise ValueError(f"order must be >= 1, got {ell}")
     best: Optional[int] = None
-    admissible: dict[tuple[int, ...], bool] = {}  # one gcd search per shift set
-    for m in _compositions(n, ell):
-        doubled = m + m
-        shifts = tuple(k for k in range(ell) if doubled[k : k + ell] == m)
-        if shifts not in admissible:
-            admissible[shifts] = _has_unit_gcd_tuple(shifts, ell, 2 * genus)
-        if not admissible[shifts]:
+    for d in range(1, ell + 1):
+        if ell % d or not _reaches_unit_gcd(range(0, ell, d), ell, 2 * genus):
             continue
-        value = sum(x * x for x in m)
-        if best is None or value > best:
-            best = value
+        repeats = ell // d
+        if n % repeats:
+            continue
+        for head in _compositions(n // repeats, d):
+            value = repeats * sum(x * x for x in head)
+            if best is None or value > best:
+                best = value
     if best is None:
         return None
     return 2 * (genus - 1) * (n * n - best)

@@ -672,15 +672,20 @@ def _fox_differentials(rep: SurfaceRep) -> tuple[np.ndarray, np.ndarray]:
 
 def _svd_rank(M: np.ndarray, rank_tol: float, drop: int = 0) -> tuple[int, float]:
     """Numerical rank and the spectral gap at the cut, after dropping the
-    `drop` smallest singular values (ones known to be exact zeros).
+    `drop` smallest singular values (ones known to be exact zeros)."""
+    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+    return _cut_rank(s[: len(s) - drop], rank_tol)
+
+
+def _cut_rank(s: np.ndarray, rank_tol: float) -> tuple[int, float]:
+    """Rank and spectral gap at the cut of singular values ``s``, sorted
+    descending.
 
     The cut is rank_tol times max(top singular value, 1): the matrices here
     are built from order-one adjoint blocks, so anything uniformly below
     rank_tol is roundoff, not structure, even when it dwarfs the (zero) top
     value's relative scale.
     """
-    s = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
-    s = s[: len(s) - drop]
     if s.size == 0:
         return 0, np.inf
     cut = rank_tol * max(float(s[0]), 1.0)
@@ -789,6 +794,12 @@ def fixed_point_tangent_check(
     reduces to c = dim {X : A X A^-1 = zeta X}, and the codimension is
     2(g-1)(n^2 - c).  Returns None when ell does not divide n (no fixed
     points at all).
+
+    A = clock(ell) x 1 is diagonal with entries a, so the operator
+    X -> A X A^-1 - zeta X is the diagonal kron(a, 1/a) - zeta on vec(X);
+    its singular values are the absolute values of that diagonal, ranked
+    with the same cut as every SVD rank here, and no n^2 x n^2 matrix is
+    formed.
     """
     if genus < 2:
         raise ValueError("tangent counting needs genus >= 2")
@@ -796,10 +807,9 @@ def fixed_point_tangent_check(
         raise ValueError(f"twist order must be positive, got {ell}")
     if n % ell:
         return None
-    block = np.eye(n // ell, dtype=complex)
-    A = np.kron(clock_matrix(ell), block)
+    a = np.repeat(np.diag(clock_matrix(ell)), n // ell)
     zeta = np.exp(2j * np.pi / ell)
-    op = np.kron(A, np.linalg.inv(A).T) - zeta * np.eye(n * n)
-    rank, _ = _svd_rank(op, rank_tol)
+    s = np.abs(np.kron(a, 1 / a) - zeta)
+    rank, _ = _cut_rank(np.sort(s)[::-1], rank_tol)
     c = n * n - rank
     return 2 * (genus - 1) * (n * n - c)

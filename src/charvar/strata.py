@@ -14,7 +14,7 @@ degenerates to 2k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .groups import GroupSpec, char_variety_dim
 
@@ -88,19 +88,36 @@ def enumerate_weighted_partitions(n: int) -> list[WeightedPartition]:
     return [WeightedPartition._canonical(parts) for parts in _weighted_parts(n, n, n)]
 
 
-def _weighted_parts(remaining: int, vmax: int, lmax: int) -> Iterator[tuple]:
-    """Canonical part tuples summing to ``remaining``, with dimensions at most
-    ``vmax`` and, at dimension ``vmax``, multiplicities at most ``lmax``."""
-    if remaining == 0:
-        yield ()
-        return
-    for v in range(min(vmax, remaining), 0, -1):
-        ltop = remaining // v
-        if v == vmax:
-            ltop = min(ltop, lmax)
-        for l in range(ltop, 0, -1):
-            for tail in _weighted_parts(remaining - l * v, v, l):
-                yield ((l, v),) + tail
+def _weighted_parts(n: int, vmax: int, lmax: int) -> list[tuple]:
+    """Canonical part tuples summing to ``n``, with dimensions at most
+    ``vmax`` and, at dimension ``vmax``, multiplicities at most ``lmax``.
+
+    A tuple starts with its largest part: for each first part (l, v),
+    dimension descending and then multiplicity descending, the tails are the
+    tuples of the rest with parts no larger than (l, v).  The tails of one
+    (remaining, vmax, lmax) are built once, as a list, and shared by every
+    head that leaves that remainder; the memo lives for this call only.
+    """
+    return _walk(n, vmax, lmax, {})
+
+
+def _walk(remaining: int, vmax: int, lmax: int, memo: dict) -> list[tuple]:
+    key = (remaining, vmax, lmax)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = []
+        for v in range(min(vmax, remaining), 0, -1):
+            ltop = remaining // v
+            if v == vmax and lmax < ltop:
+                ltop = lmax
+            for l in range(ltop, 0, -1):
+                head = ((l, v),)
+                rest = remaining - l * v
+                if rest:
+                    found += [head + tail for tail in _walk(rest, v, l, memo)]
+                else:
+                    found.append(head)
+    return found
 
 
 def stratum_dim_gl(nu: WeightedPartition, genus: int) -> int:
@@ -208,8 +225,9 @@ def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
 
     Every row number comes from k and sum_t v_t^2 alone: the dimensions of
     stratum_dim_gl and stratum_dim_sl, the codimension of stratum_codim and
-    the bounds of fiber_dim_bound.  At genus one the walk takes only the
-    all-v_t = 1 branch of the enumeration, in the same order.
+    the bounds of fiber_dim_bound.  Both are read straight off the part
+    tuples.  At genus one the walk takes only the all-v_t = 1 branch of the
+    enumeration, in the same order.
     """
     if n < 1 or genus < 1:
         raise ValueError("need n >= 1 and genus >= 1")
@@ -227,8 +245,9 @@ def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
         return tuple(rows)
     square = n * n
     for nu in enumerate_weighted_partitions(n):
-        k = nu.k
-        square_sum = sum(d * d for _, d in nu.parts)
+        parts = nu.parts
+        k = len(parts)
+        square_sum = sum([d * d for _, d in parts])
         dim = 2 * (k + (genus - 1) * square_sum)
         codim = 2 * (genus - 1) * (square - square_sum) - 2 * (k - 1)
         fiber = (genus - 1) * square_sum + k

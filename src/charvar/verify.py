@@ -2,7 +2,7 @@
 
 Each suite returns a list of JSON-ready records, one per checked case, each
 with a ``failures`` list and an ``ok`` flag; the command line only formats
-them.  The fixed-locus closed forms are compared with their brute-force
+them.  The fixed-locus closed forms are compared with their counting
 oracles in exactly one place per genus regime (``genus1_pair_mismatch`` and
 ``order_mismatch``), used both by the fixed-loci suite and by
 ``oracle_mismatches`` for a concrete group.
@@ -51,7 +51,7 @@ def _record(suite: str, n: int, genus: int, **fields) -> dict:
 
 
 # --------------------------------------------------------------------------
-# fixed-locus closed forms against brute-force counts
+# fixed-locus closed forms against combinatorial and numeric counts
 
 
 def genus1_pair_mismatch(n: int, pair: tuple[int, int]) -> Optional[str]:

@@ -306,6 +306,17 @@ def test_oracle_runs_once_per_distinct_case(capsys, monkeypatch):
     assert sorted(tangent) == sorted(numeric) == [(2, 1, 2), (2, 2, 2)]
 
 
+def test_fixed_loci_oracle_answers_pgl200(capsys):
+    # the combinatorial and the numeric tangent counts are both polynomial
+    code, out, err = run(
+        capsys, "fixed-loci", "--group", "PGL(200)", "--genus", "2", "--oracle", "--json"
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["oracle_mismatches"] == []
+    assert len(payload["twists"]) == 199
+
+
 def test_analyze_plans_once_and_never_scans_the_kernel(capsys, monkeypatch):
     plans = _count_calls(monkeypatch, cli, "plan_terminalization")
     scans = _count_calls(monkeypatch, fixed_loci, "min_nonfree_codim")

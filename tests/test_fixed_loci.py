@@ -1,12 +1,15 @@
 """Fixed-locus codimensions: closed forms against brute-force oracles."""
 
 import itertools
+import random
 from math import gcd, lcm
 
 import pytest
 
+from charvar import fixed_loci
 from charvar.fixed_loci import (
     _compositions,
+    _reaches_unit_gcd,
     codim_genus1_from_orders,
     codim_highgenus_from_orders,
     fixed_codim_genus1,
@@ -143,11 +146,57 @@ def test_stars_and_bars_walk_matches_recursive_walk():
 
 
 def test_tangent_oracle_matches_recursive_walk():
-    for n in range(1, 9):
-        for ell in range(1, 9):
-            for g in (2, 3):
-                want = recursive_tangent_oracle(n, ell, g)
-                assert fixed_tangent_oracle(n, ell, g) == want, (n, ell, g)
+    cases = [(n, ell, g) for n in range(1, 9) for ell in range(1, 9) for g in (2, 3)]
+    cases += [(n, ell, 4) for n in range(1, 7) for ell in range(1, 7)]
+    for n, ell, g in cases:
+        want = recursive_tangent_oracle(n, ell, g)
+        assert fixed_tangent_oracle(n, ell, g) == want, (n, ell, g)
+
+
+def test_gcd_search_matches_tuple_walk():
+    # subgroups, and random shift sets holding 0 that need several steps
+    # (30 over {0, 6, 10, 15} reaches gcd 1 only with three shifts)
+    rnd = random.Random(5)
+    sets = [(30, (0, 6, 10, 15))]
+    for m in range(1, 13):
+        sets += [(m, tuple(range(0, m, d))) for d in range(1, m + 1) if m % d == 0]
+    for m in rnd.choices(range(4, 31), k=40):
+        sets.append((m, (0, *rnd.sample(range(1, m), rnd.randint(1, 3)))))
+    for modulus, shifts in sets:
+        for length in range(1, 5):
+            want = any(
+                gcd(*combo, modulus) == 1 for combo in itertools.product(shifts, repeat=length)
+            )
+            assert _reaches_unit_gcd(shifts, modulus, length) == want, (modulus, shifts, length)
+
+
+def test_tangent_oracle_walks_few_compositions(monkeypatch):
+    # a walk over every composition of 12 into 12 parts visits C(23, 11) = 1352078
+    visited = []
+    real = fixed_loci._compositions
+
+    def counted(total, parts):
+        for m in real(total, parts):
+            visited.append(m)
+            yield m
+
+    monkeypatch.setattr(fixed_loci, "_compositions", counted)
+    assert fixed_tangent_oracle(12, 12, 2) == codim_highgenus_from_orders((12,), (12,), 2)
+    assert 0 < len(visited) < 100
+
+
+def test_tangent_oracle_searches_every_subgroup(monkeypatch):
+    # each d | l is decided by the gcd search, none by a shortcut
+    searched = []
+    real = fixed_loci._reaches_unit_gcd
+
+    def recorded(shifts, modulus, length):
+        searched.append((tuple(shifts), modulus, length))
+        return real(shifts, modulus, length)
+
+    monkeypatch.setattr(fixed_loci, "_reaches_unit_gcd", recorded)
+    fixed_tangent_oracle(12, 12, 3)
+    assert searched == [(tuple(range(0, 12, d)), 12, 6) for d in (1, 2, 3, 4, 6, 12)]
 
 
 def test_min_nonfree_examples():

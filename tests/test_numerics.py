@@ -612,6 +612,40 @@ def test_tangent_check_matches_combinatorial_oracle():
             assert got == want, (n, ell)
 
 
+def dense_tangent_check(n, ell, genus, rank_tol=numerics.DEFAULT_RANK_TOL):
+    """The tangent check with its operator formed: the SVD rank of the
+    n^2 x n^2 matrix kron(A, inv(A).T) - zeta I, A = clock(ell) x 1."""
+    if n % ell:
+        return None
+    A = np.kron(clock_matrix(ell), np.eye(n // ell, dtype=complex))
+    zeta = np.exp(2j * np.pi / ell)
+    op = np.kron(A, np.linalg.inv(A).T) - zeta * np.eye(n * n)
+    rank, _ = numerics._svd_rank(op, rank_tol)
+    return 2 * (genus - 1) * rank
+
+
+def test_tangent_check_matches_dense_operator():
+    for n in range(1, 9):
+        for ell in range(1, n + 1):
+            for genus in (2, 3):
+                want = dense_tangent_check(n, ell, genus)
+                assert fixed_point_tangent_check(n, ell, genus) == want, (n, ell, genus)
+
+
+def test_tangent_check_forms_no_square_operator(monkeypatch):
+    sizes = []
+    real = np.linalg.svd
+
+    def recorded(M, *args, **kwargs):
+        sizes.append(np.asarray(M).size)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    n = 60
+    assert fixed_point_tangent_check(n, n, 2) == codim_highgenus_from_orders([n], [n], 2)
+    assert max(sizes, default=0) <= n * n
+
+
 def test_tangent_check_validation():
     with pytest.raises(ValueError):
         fixed_point_tangent_check(2, 2, 1)

@@ -5,6 +5,7 @@ import pytest
 from charvar.groups import char_variety_dim, parse_group_spec
 from charvar.strata import (
     WeightedPartition,
+    _weighted_parts,
     enumerate_weighted_partitions,
     factor_strata_table,
     fiber_dim_bound,
@@ -34,9 +35,32 @@ def count_by_generating_function(nmax):
     return coeffs
 
 
+def generator_weighted_parts(remaining, vmax, lmax):
+    """The recursive generator walk that ``_weighted_parts`` replaced: one
+    generator per call, each tail rebuilt for every head."""
+    if remaining == 0:
+        yield ()
+        return
+    for v in range(min(vmax, remaining), 0, -1):
+        ltop = remaining // v
+        if v == vmax:
+            ltop = min(ltop, lmax)
+        for l in range(ltop, 0, -1):
+            for tail in generator_weighted_parts(remaining - l * v, v, l):
+                yield ((l, v),) + tail
+
+
+def test_memoized_walk_matches_generator_walk():
+    for n in range(1, 15):
+        for vmax in (1, n):  # the genus-one branch and the full walk
+            want = list(generator_weighted_parts(n, vmax, n))
+            assert _weighted_parts(n, vmax, n) == want, (n, vmax)
+
+
 def test_enumeration_counts_against_oracle():
-    oracle = count_by_generating_function(10)
-    for n in range(1, 11):
+    oracle = count_by_generating_function(16)
+    assert oracle[16] == 3186
+    for n in range(1, 17):
         parts = enumerate_weighted_partitions(n)
         assert len(parts) == oracle[n]
         assert len(set(parts)) == len(parts)
