@@ -57,6 +57,15 @@ def _redundant_words(spec, rnd):
     return padded
 
 
+def _catch_payloads(monkeypatch):
+    """Collect each command's payload as handed to the printer."""
+    printed = []
+    monkeypatch.setattr(
+        cli, "_emit", lambda args, config, payload, render: printed.append(payload)
+    )
+    return printed
+
+
 def _answers(spec, generators, genus, printed):
     """Each command's ``--json`` payload, as handed to the printer."""
     group = json.dumps(GroupSpec(spec.torus_rank, spec.factors, tuple(generators)).to_json())
@@ -81,10 +90,7 @@ def test_generating_set_invariance(monkeypatch):
     # the payloads are compared before printing: the JSON writer is a pure
     # function of them (and has its own tests), and skipping it halves the
     # cost of 5400 queries
-    printed = []
-    monkeypatch.setattr(
-        cli, "_emit", lambda args, config, payload, render: printed.append(payload)
-    )
+    printed = _catch_payloads(monkeypatch)
     cases = _invariance_cases()
     assert len(cases) == 150
     shrunk = padded = 0
@@ -103,14 +109,6 @@ def test_generating_set_invariance(monkeypatch):
 
 # --------------------------------------------------------------------------
 # the paper's reduction: factor order, free torus coupling, SL products
-
-
-def _catch_payloads(monkeypatch):
-    printed = []
-    monkeypatch.setattr(
-        cli, "_emit", lambda args, config, payload, render: printed.append(payload)
-    )
-    return printed
 
 
 def _reduction_cases(count, seed):
