@@ -4,7 +4,9 @@ Subcommands: analyze, strata, classify, fixed-loci, terminalize, verify,
 presets.  Every subcommand takes --json for machine-readable output and
 --config pointing at a JSON file whose keys mirror the flag names (explicit
 flags win).  Exit codes: 0 success, 1 input error, 2 verification failure,
-so CI can tell a typo from mathematics disagreeing with an oracle.
+so CI can tell a typo from mathematics disagreeing with an oracle; 141 when
+the reader closed standard output early (``charvar ... | head``), as a shell
+reports a process that SIGPIPE ended.
 
 This module only parses and validates flags and formats results; the
 library computes them, and ``charvar.verify`` runs the verify suites and
@@ -17,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -29,13 +32,14 @@ from .groups import (
     char_variety_dim,
     parse_group_spec,
 )
-from .strata import strata_table
+from .strata import StratumRows, strata_table
 from .terminalize import plan_terminalization, render_plan
 from .verify import SUITES, oracle_mismatches, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VERIFY_FAILURE = 2
+EXIT_BROKEN_PIPE = 141
 
 # strata and analyze list every stratum of each SL(n) factor, one row per
 # weighted partition of n at genus >= 2; larger factors are refused with
@@ -251,14 +255,16 @@ def _json_text(value) -> str:
     With an indent the stdlib encoder falls back to pure Python, which costs
     more than many whole queries; this writer gives the same bytes for dicts
     with string keys, lists, tuples, strings, ints, floats, bools and None,
-    and raises TypeError on anything else.
+    and raises TypeError on anything else.  A non-empty ``StratumRows``, the
+    stratum rows of one factor table, is written by ``_stratum_rows_text``,
+    one format per row, instead of one recursive call per line.
     """
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out, {})
     return "".join(out)
 
 
-def _write_json(value, pad: str, out: list[str]) -> None:
+def _write_json(value, pad: str, out: list[str], memo: dict) -> None:
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -285,7 +291,7 @@ def _write_json(value, pad: str, out: list[str]) -> None:
             scalar = _SCALAR_TEXT.get(type(item))
             if scalar is None:
                 out.append(head)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, memo)
             else:
                 out.append(head + scalar(item))
             sep = "," + inner
@@ -294,13 +300,16 @@ def _write_json(value, pad: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
+        if type(value) is StratumRows:
+            out.append(_stratum_rows_text(value, pad, memo))
+            return
         inner = pad + "  "
         sep = "[" + inner
         for item in value:
             scalar = _SCALAR_TEXT.get(type(item))
             if scalar is None:
                 out.append(sep)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, memo)
             else:
                 out.append(sep + scalar(item))
             sep = "," + inner
@@ -318,6 +327,49 @@ _SCALAR_TEXT = {
     bool: _LITERALS.__getitem__,
     type(None): _LITERALS.__getitem__,
 }
+
+
+def _stratum_rows_text(rows: StratumRows, pad: str, memo: dict) -> str:
+    """The indented JSON of non-empty stratum rows, the list at ``pad``.
+
+    Each row is one ``%`` format over its sorted keys, built once per pad;
+    the text of a ``nu`` pair (m, d) is memoized under (pad, m, d) for one
+    ``_json_text`` call.  ``fiber_bounds`` is absent (None) at genus one.
+    """
+    row_pad = pad + "  "
+    key_pad = row_pad + "  "
+    pair_pad = key_pad + "  "
+    int_pad = pair_pad + "  "
+    row_format = (
+        "{" + key_pad + '"codim": %d,'
+        + key_pad + '"dim_gl": %d,'
+        + key_pad + '"dim_sl": %d,'
+        + key_pad + '"fiber_bounds": %s,'
+        + key_pad + '"nu": [' + pair_pad + "%s" + key_pad + "],"
+        + key_pad + '"open": %s'
+        + row_pad + "}"
+    )
+    fiber_format = "[" + pair_pad + "%d," + pair_pad + "%d" + key_pad + "]"
+    pair_sep = "," + pair_pad
+    texts = []
+    for row in rows:
+        pairs = []
+        for m, d in row["nu"]:
+            key = (pad, m, d)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = f"[{int_pad}{m},{int_pad}{d}{pair_pad}]"
+            pairs.append(text)
+        fiber = row["fiber_bounds"]
+        texts.append(row_format % (
+            row["codim"],
+            row["dim_gl"],
+            row["dim_sl"],
+            "null" if fiber is None else fiber_format % (fiber[0], fiber[1]),
+            pair_sep.join(pairs),
+            "true" if row["open"] else "false",
+        ))
+    return "[" + row_pad + ("," + row_pad).join(texts) + pad + "]"
 
 
 def _float_text(x: float) -> str:
@@ -562,11 +614,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             raise CliInputError("usage", "a subcommand is required (see --help)")
         config = _load_config(getattr(args, "config", None))
-        return _HANDLERS[args.command](args, config)
+        code = _HANDLERS[args.command](args, config)
+        # a closed pipe shows at the latest here, not in the exit-time flush
+        sys.stdout.flush()
+        return code
     except CliInputError as exc:
         return _fail(exc)
     except ValueError as exc:
         return _fail(CliInputError("input", str(exc)))
+    except BrokenPipeError:
+        # the stdlib recipe: send what is still buffered to devnull, so that
+        # the interpreter's own flush at exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ class WeightedPartition:
     def _canonical(cls, parts: tuple[tuple[int, int], ...]) -> "WeightedPartition":
         """Wrap parts already positive and in canonical order, unchecked."""
         nu = object.__new__(cls)
-        object.__setattr__(nu, "parts", parts)
+        nu.__dict__["parts"] = parts
         return nu
 
     @property
@@ -219,6 +219,29 @@ class StratumInfo:
             "open": self.is_open,
         }
 
+    @classmethod
+    def _unchecked(cls, nu, dim_gl, dim_sl, codim, fiber_bounds, is_open) -> "StratumInfo":
+        """The row ``StratumInfo(...)`` builds, with its fields set in one
+        ``__dict__`` update instead of one frozen ``__setattr__`` each."""
+        row = object.__new__(cls)
+        row.__dict__.update({
+            "nu": nu,
+            "dim_gl": dim_gl,
+            "dim_sl": dim_sl,
+            "codim": codim,
+            "fiber_bounds": fiber_bounds,
+            "is_open": is_open,
+        })
+        return row
+
+
+class StratumRows(list):
+    """The JSON rows of one factor table, ``StratumInfo.to_json()`` each.
+
+    A plain list to ``json``, ``==`` and every other reader; the CLI's JSON
+    writer recognises the exact type and writes each row from one format.
+    """
+
 
 def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
     """Strata of one SL(n)/GL(n) factor.  Genus one lists populated types only.
@@ -238,7 +261,7 @@ def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
             dim = 2 * len(parts)
             codim = ambient - dim
             rows.append(
-                StratumInfo(
+                StratumInfo._unchecked(
                     WeightedPartition._canonical(parts), dim, dim - 2, codim, None, codim == 0
                 )
             )
@@ -252,7 +275,7 @@ def factor_strata_table(n: int, genus: int) -> tuple[StratumInfo, ...]:
         codim = 2 * (genus - 1) * (square - square_sum) - 2 * (k - 1)
         fiber = (genus - 1) * square_sum + k
         rows.append(
-            StratumInfo(
+            StratumInfo._unchecked(
                 nu,
                 dim,
                 dim - 2 * genus,
@@ -280,7 +303,7 @@ class StrataTable:
             "torus_dim": self.torus_dim,
             "total_dim": char_variety_dim(self.spec, self.genus),
             "factors": [
-                {"n": n, "strata": [row.to_json() for row in rows]}
+                {"n": n, "strata": StratumRows([row.to_json() for row in rows])}
                 for n, rows in self.factor_tables
             ],
         }

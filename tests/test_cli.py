@@ -11,6 +11,7 @@ import pytest
 
 from charvar import classify, cli, fixed_loci, groups, verify
 from charvar.groups import CentralSubgroup
+from charvar.strata import StratumInfo, StratumRows, strata_table
 
 
 def run(capsys, *argv):
@@ -452,6 +453,82 @@ def test_json_writer_matches_stdlib_on_random_values():
 def test_json_writer_rejects_unsupported_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
+
+
+def _captured_payloads(monkeypatch, capsys, argvs):
+    """The payloads ``main`` hands the JSON writer, one per argv."""
+    payloads = []
+    monkeypatch.setattr(cli, "_json_text", lambda p: payloads.append(p) or "")
+    for argv in argvs:
+        assert run(capsys, *argv, "--json")[0] == 0, argv
+    assert len(payloads) == len(argvs)
+    return payloads
+
+
+def test_stratum_rows_match_stdlib_at_both_depths(monkeypatch, capsys):
+    # strata puts the rows two levels deeper than analyze; genus one has
+    # null fiber bounds; every n up to the size of a wide query
+    writer = cli._json_text
+    argvs = []
+    for n in range(1, 17):
+        groups = (f"SL({n})", f"PGL({n})", f"GL({n})") if n <= 12 else ()
+        for group in groups + (f"GL({n})xSL(2)",):
+            for genus in range(1, 5):
+                for command in ("strata", "analyze"):
+                    argvs.append((command, "--group", group, "--genus", str(genus)))
+    for argv, payload in zip(argvs, _captured_payloads(monkeypatch, capsys, argvs)):
+        assert writer(payload) == json.dumps(payload, sort_keys=True, indent=2), argv
+
+
+def test_stratum_rows_edge_values():
+    rows = StratumRows()
+    assert rows == [] and json.dumps(rows) == "[]"
+    for value in (rows, {"strata": rows}, [rows, StratumRows([])]):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_a_row_key_the_row_format_lacks_shows_in_the_comparison(monkeypatch):
+    # the format writes the six known keys; a seventh must not vanish
+    # unnoticed, so the stdlib comparison above has to see it
+    row_json = StratumInfo.to_json
+    monkeypatch.setattr(StratumInfo, "to_json", lambda row: {**row_json(row), "extra": 1})
+    payload = strata_table(groups.parse_group_spec("SL(3)"), 2).to_json()
+    assert payload["factors"][0]["strata"][0]["extra"] == 1
+    assert cli._json_text(payload) != json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_stratum_rows_take_a_constant_number_of_writer_calls(capsys, monkeypatch):
+    counts = []
+    for n in (2, 12):
+        calls = _count_calls(monkeypatch, cli, "_write_json")
+        code, out, err = run(capsys, "strata", "--group", f"SL({n})", "--genus", "2", "--json")
+        assert code == 0, err
+        counts.append((len(calls), out.count("\n")))
+        monkeypatch.undo()
+    (small_calls, small_lines), (wide_calls, wide_lines) = counts
+    assert wide_lines > 15000 and wide_lines > 100 * small_lines
+    assert wide_calls == small_calls <= 5
+
+
+def test_closed_pipe_exits_quietly():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # 1.8 MB of output, far more than a pipe buffers
+    argv = ["strata", "--group", "SL(16)", "--genus", "3", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charvar.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert cli.EXIT_BROKEN_PIPE not in (cli.EXIT_INPUT_ERROR, cli.EXIT_VERIFY_FAILURE)
+    assert err == b""
 
 
 def test_main_calls_in_one_process_match_fresh_processes(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Stratification: enumeration, dimensions, codimensions, fiber bounds."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from charvar.groups import char_variety_dim, parse_group_spec
 from charvar.strata import (
+    StratumInfo,
     WeightedPartition,
     _weighted_parts,
     enumerate_weighted_partitions,
@@ -265,6 +268,23 @@ def test_factor_table_rows_match_the_row_functions():
                 assert row.codim == stratum_codim(row.nu, g)
                 assert row.fiber_bounds == fiber_dim_bound(row.nu, g)
                 assert row.is_open == (row.codim == 0)
+
+
+def test_table_rows_equal_rows_of_the_public_constructor():
+    for n in range(1, 9):
+        for g in range(1, 4):
+            for row in factor_strata_table(n, g):
+                built = StratumInfo(
+                    row.nu, row.dim_gl, row.dim_sl, row.codim, row.fiber_bounds, row.is_open
+                )
+                assert built == row and row == built
+                assert hash(built) == hash(row) and repr(built) == repr(row)
+                assert WeightedPartition(row.nu.parts) == row.nu
+                assert hash(WeightedPartition(row.nu.parts)) == hash(row.nu)
+    with pytest.raises(FrozenInstanceError):
+        row.codim = 0
+    with pytest.raises(FrozenInstanceError):
+        row.nu.parts = ()
 
 
 def test_genus1_walk_is_the_filtered_enumeration():
