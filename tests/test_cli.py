@@ -466,13 +466,13 @@ def _captured_payloads(monkeypatch, capsys, argvs):
 
 
 def test_stratum_rows_match_stdlib_at_both_depths(monkeypatch, capsys):
-    # strata puts the rows two levels deeper than analyze; genus one has
+    # analyze puts the rows one level deeper than strata; genus one has
     # null fiber bounds; every n up to the size of a wide query
     writer = cli._json_text
     argvs = []
     for n in range(1, 17):
-        groups = (f"SL({n})", f"PGL({n})", f"GL({n})") if n <= 12 else ()
-        for group in groups + (f"GL({n})xSL(2)",):
+        presets = (f"SL({n})", f"PGL({n})", f"GL({n})") if n <= 12 else ()
+        for group in presets + (f"GL({n})xSL(2)",):
             for genus in range(1, 5):
                 for command in ("strata", "analyze"):
                     argvs.append((command, "--group", group, "--genus", str(genus)))
