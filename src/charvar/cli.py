@@ -24,10 +24,12 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .classify import classify_resolution
-from .fixed_loci import fixed_codim_genus1, fixed_codim_highgenus, min_nonfree_codim
+from .fixed_loci import TwistRows, twist_rows
 from .groups import (
     PRESET_CATALOG,
+    ElementRows,
     GroupSpecError,
+    _is_int,
     canonical_decomposition,
     char_variety_dim,
     parse_group_spec,
@@ -183,44 +185,91 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
+def _int_value(value) -> Optional[int]:
+    """A JSON int that is not a bool, or the integer of a string as an
+    integer flag reads it; None for anything else."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            return None
+    return value if _is_int(value) else None
+
+
+def _int_list(value) -> Optional[list[int]]:
+    """A JSON list of such ints, or the integers of comma-separated text as
+    a list flag reads it; None for anything else."""
+    if isinstance(value, str):
+        try:
+            return [int(x) for x in value.split(",")]
+        except ValueError:
+            return None
+    if isinstance(value, list) and all(map(_is_int, value)):
+        return value
+    return None
+
+
+def _of_type(*types) -> Callable:
+    return lambda value: value if isinstance(value, types) else None
+
+
+# what each --config key takes, as its flag does, and the reader that gives
+# its value or None: a switch takes a JSON bool, an integer flag an integer,
+# a list flag a list of integers.  Nothing is coerced.
+_CONFIG_KEYS = {
+    "group": ("a preset string or a group object", _of_type(str, dict)),
+    "suite": ("a string", _of_type(str)),
+    "genus": ("an integer", _int_value),
+    "trials": ("an integer", _int_value),
+    "seed": ("an integer", _int_value),
+    "sizes": ("a list of integers", _int_list),
+    "genera": ("a list of integers", _int_list),
+    "json": ("true or false", _of_type(bool)),
+    "oracle": ("true or false", _of_type(bool)),
+    "strict": ("true or false", _of_type(bool)),
+}
+
+
+def _config_value(key: str, value):
+    """The --config ``value`` of ``key``, held to what its flag takes."""
+    kind, read = _CONFIG_KEYS[key]
+    typed = read(value)
+    if typed is None:
+        shown = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+        raise CliInputError("config", f"config key {key!r} takes {kind}, got {shown}")
+    return typed
+
+
 def _merged(args, config: dict, key: str, default=None, required: bool = False):
     value = getattr(args, key, None)
+    if value is None and key in config:
+        value = _config_value(key, config[key])
     if value is None:
-        value = config.get(key, default)
+        value = default
     if value is None and required:
         raise CliInputError("usage", f"--{key.replace('_', '-')} is required")
     return value
 
 
 def _resolve_spec(args, config):
-    text = _merged(args, config, "group", required=True)
+    source = _merged(args, config, "group", required=True)
     try:
-        if isinstance(text, dict):
-            return parse_group_spec(text)
-        return parse_group_spec(str(text))
+        return parse_group_spec(source)
     except GroupSpecError as exc:
         raise CliInputError("group-spec", str(exc))
 
 
 def _resolve_genus(args, config) -> int:
     genus = _merged(args, config, "genus", required=True)
-    try:
-        genus = int(genus)
-    except (TypeError, ValueError):
-        raise CliInputError("genus", f"genus must be an integer, got {genus!r}")
     if genus < 1:
         raise CliInputError("genus", f"genus must be >= 1, got {genus}")
     return genus
 
 
 def _parse_int_list(value, flag: str) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = str(value).split(",")
-    try:
-        out = [int(x) for x in items]
-    except (TypeError, ValueError):
+    """The integers of a flag's comma-separated text, or of a config list."""
+    out = _int_list(value)
+    if out is None:
         raise CliInputError("usage", f"--{flag} wants comma-separated integers")
     if not out:
         raise CliInputError("usage", f"--{flag} must not be empty")
@@ -255,9 +304,12 @@ def _json_text(value) -> str:
     With an indent the stdlib encoder falls back to pure Python, which costs
     more than many whole queries; this writer gives the same bytes for dicts
     with string keys, lists, tuples, strings, ints, floats, bools and None,
-    and raises TypeError on anything else.  A non-empty ``StratumRows``, the
-    stratum rows of one factor table, is written by ``_stratum_rows_text``,
-    one format per row, instead of one recursive call per line.
+    and raises TypeError on anything else.  A non-empty row list of one of
+    the types in ``_ROW_WRITERS`` is written one format per row, instead of
+    one recursive call per line: ``StratumRows`` (the stratum rows of one
+    factor table) by ``_stratum_rows_text``, ``TwistRows`` (the fixed-locus
+    rows) by ``_twist_rows_text`` and ``ElementRows`` (the torus-invisible
+    kernel) by ``_element_rows_text``.
     """
     out: list[str] = []
     _write_json(value, "\n", out, {})
@@ -300,8 +352,9 @@ def _write_json(value, pad: str, out: list[str], memo: dict) -> None:
         if not value:
             out.append("[]")
             return
-        if type(value) is StratumRows:
-            out.append(_stratum_rows_text(value, pad, memo))
+        rows = _ROW_WRITERS.get(type(value))
+        if rows is not None:
+            out.append(rows(value, pad, memo))
             return
         inner = pad + "  "
         sep = "[" + inner
@@ -327,6 +380,14 @@ _SCALAR_TEXT = {
     bool: _LITERALS.__getitem__,
     type(None): _LITERALS.__getitem__,
 }
+
+
+def _rows_text(texts: list[str], pad: str) -> str:
+    """The list at ``pad`` of items already written one level deeper."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
 
 
 def _stratum_rows_text(rows: StratumRows, pad: str, memo: dict) -> str:
@@ -369,7 +430,94 @@ def _stratum_rows_text(rows: StratumRows, pad: str, memo: dict) -> str:
             pair_sep.join(pairs),
             "true" if row["open"] else "false",
         ))
-    return "[" + row_pad + ("," + row_pad).join(texts) + pad + "]"
+    return _rows_text(texts, pad)
+
+
+def _list_format(pad: str, slot: str, count: int) -> str:
+    """The ``%`` format of a list at ``pad`` of ``count`` items, each ``slot``."""
+    if not count:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([slot] * count) + pad + "]"
+
+
+def _element_format(pad: str, residues: int, angles: int) -> str:
+    """The ``%`` format of one ``CentralElement.to_json()`` dict at ``pad``:
+    a ``%d`` per residue, then a ``%s`` per encoded angle."""
+    inner = pad + "  "
+    return (
+        "{" + inner + '"factors": ' + _list_format(inner, "%d", residues) + ","
+        + inner + '"torus": ' + _list_format(inner, "%s", angles)
+        + pad + "}"
+    )
+
+
+def _element_rows_text(rows: ElementRows, pad: str, memo: dict) -> str:
+    """The indented JSON of non-empty element rows, the list at ``pad``.
+
+    Each element is one ``%`` format, built once per pad and shape (the
+    number of residues and of angles).
+    """
+    row_pad = pad + "  "
+    formats = {}
+    texts = []
+    for element in rows:
+        residues, angles = element["factors"], element["torus"]
+        shape = len(residues), len(angles)
+        form = formats.get(shape)
+        if form is None:
+            form = formats[shape] = _element_format(row_pad, *shape)
+        texts.append(form % (*residues, *map(_encode_str, angles)))
+    return _rows_text(texts, pad)
+
+
+def _twist_rows_text(rows: TwistRows, pad: str, memo: dict) -> str:
+    """The indented JSON of non-empty fixed-locus rows, the list at ``pad``.
+
+    Each row is one ``%`` format over its sorted keys, its element's and
+    its orders' entries, built once per pad and shape (the number of
+    residues, angles and orders); ``codim`` is None on the rows whose locus
+    is empty.
+    """
+    row_pad = pad + "  "
+    key_pad = row_pad + "  "
+
+    def row_format(residues: int, angles: int, orders: int) -> str:
+        return (
+            "{" + key_pad + '"codim": %s,'
+            + key_pad + '"element": ' + _element_format(key_pad, residues, angles) + ","
+            + key_pad + '"empty": %s,'
+            + key_pad + '"factor_orders": ' + _list_format(key_pad, "%d", orders) + ","
+            + key_pad + '"note": %s'
+            + row_pad + "}"
+        )
+
+    formats = {}
+    texts = []
+    for row in rows:
+        codim, element, orders = row["codim"], row["element"], row["factor_orders"]
+        residues, angles = element["factors"], element["torus"]
+        shape = len(residues), len(angles), len(orders)
+        form = formats.get(shape)
+        if form is None:
+            form = formats[shape] = row_format(*shape)
+        texts.append(form % (
+            "null" if codim is None else int.__repr__(codim),
+            *residues,
+            *map(_encode_str, angles),
+            "true" if row["empty"] else "false",
+            *orders,
+            _encode_str(row["note"]),
+        ))
+    return _rows_text(texts, pad)
+
+
+# the row writer of each row-list type, by exact type
+_ROW_WRITERS = {
+    StratumRows: _stratum_rows_text,
+    TwistRows: _twist_rows_text,
+    ElementRows: _element_rows_text,
+}
 
 
 def _float_text(x: float) -> str:
@@ -467,20 +615,6 @@ def _cmd_terminalize(args, config) -> int:
     return EXIT_OK
 
 
-def _fixed_locus_rows(spec, genus: int) -> list[dict]:
-    rows = []
-    for element in spec.full_center_subgroup():
-        if element.is_identity:
-            continue
-        if genus == 1:
-            result = fixed_codim_genus1(element, spec.factors)
-        else:
-            result = fixed_codim_highgenus(element, spec.factors, genus)
-        row = {"element": element.to_json(), **result.to_json()}
-        rows.append(row)
-    return rows
-
-
 def _fixed_loci_text(payload: dict, best, checked: bool) -> str:
     lines = []
     for row in payload["twists"]:
@@ -498,9 +632,7 @@ def _fixed_loci_text(payload: dict, best, checked: bool) -> str:
 def _cmd_fixed_loci(args, config) -> int:
     spec = _resolve_spec(args, config)
     genus = _resolve_genus(args, config)
-    decomp = canonical_decomposition(spec)
-    rows = _fixed_locus_rows(spec, genus)
-    best = min_nonfree_codim(decomp, genus)
+    rows, best = twist_rows(canonical_decomposition(spec), genus)
     payload = {
         "genus": genus,
         "group": spec.to_json(),
@@ -508,7 +640,7 @@ def _cmd_fixed_loci(args, config) -> int:
         "min_codim": None if best is None else best[0],
         "min_witness": None if best is None else best[1].to_json(),
     }
-    checked = bool(_merged(args, config, "oracle", False))
+    checked = _merged(args, config, "oracle", False)
     problems = []
     if checked:
         problems = payload["oracle_mismatches"] = oracle_mismatches(spec, genus)
@@ -558,11 +690,11 @@ def _cmd_verify(args, config) -> int:
             "cohomology suite needs genus >= 2 "
             "(no irreducible points exist at genus one)",
         )
-    trials = int(_merged(args, config, "trials", 3))
+    trials = _merged(args, config, "trials", 3)
     if trials < 1:
         raise CliInputError("usage", "--trials must be >= 1")
-    master_seed = int(_merged(args, config, "seed", 0))
-    strict = bool(_merged(args, config, "strict", False))
+    master_seed = _merged(args, config, "seed", 0)
+    strict = _merged(args, config, "strict", False)
 
     records = run_suite(suite, sizes, genera, trials, master_seed)
     failed = [r for r in records if not r["ok"]]

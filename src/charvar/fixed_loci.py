@@ -37,6 +37,9 @@ from typing import Iterator, Optional, Sequence
 
 from .groups import CentralElement, Decomposition
 
+# the note of a twist with a nontrivial torus coordinate, whose locus is empty
+_FREE_TWIST_NOTE = "nontrivial torus coordinate: free twist"
+
 
 @dataclass(frozen=True)
 class FixedLocusResult:
@@ -89,12 +92,15 @@ def _codim_from_orders(factors: Sequence[int], orders: Sequence[int], genus: int
     return codim_highgenus_from_orders(factors, orders, genus)
 
 
+def _count_note(genus: int) -> str:
+    return "orbit count per factor" if genus == 1 else "tangent count per factor"
+
+
 def _fixed_codim(tau: CentralElement, factors: Sequence[int], genus: int) -> FixedLocusResult:
     if not tau.torus_trivial:
-        return FixedLocusResult(None, (), "nontrivial torus coordinate: free twist")
+        return FixedLocusResult(None, (), _FREE_TWIST_NOTE)
     orders = per_factor_orders(tau, factors)
-    note = "orbit count per factor" if genus == 1 else "tangent count per factor"
-    return FixedLocusResult(_codim_from_orders(factors, orders, genus), orders, note)
+    return FixedLocusResult(_codim_from_orders(factors, orders, genus), orders, _count_note(genus))
 
 
 def fixed_codim_highgenus(
@@ -135,6 +141,58 @@ def min_nonfree_codim(
 
     tau = min(candidates, key=codim)
     return codim(tau), tau
+
+
+class TwistRows(list):
+    """The JSON rows of ``twist_rows``, ``FixedLocusResult.to_json()`` each
+    with the twist's ``element``.
+
+    A plain list to ``json``, ``==`` and every other reader; the CLI's JSON
+    writer recognises the exact type and writes each row from one format.
+    """
+
+
+def twist_rows(
+    decomp: Decomposition, genus: int
+) -> tuple[TwistRows, Optional[tuple[int, CentralElement]]]:
+    """The fixed-locus row of every nontrivial twist in Z0, and
+    ``min_nonfree_codim(decomp, genus)``, from one pass over sorted Z0.
+
+    A zero angle sorts first, so sorted Z0 opens with the torus-invisible
+    kernel, identity first and in the kernel's own order, and its first
+    ``ss_kernel.order`` elements are exactly the kernel: the first minimum
+    over their rows is the lexicographic witness.  Their orders are read
+    off the residues; every later twist moves the torus and fixes nothing.
+    """
+    if genus < 1:
+        raise ValueError(f"genus must be >= 1, got {genus}")
+    factors = decomp.factors
+    elements = decomp.full_center.elements
+    kernel_order = decomp.ss_kernel.order
+    note = _count_note(genus)
+    rows = TwistRows()
+    best = None
+    for tau in elements[1:kernel_order]:
+        orders = [n // gcd(a, n) for a, n in zip(tau.ss_part, factors)]
+        codim = _codim_from_orders(factors, orders, genus)
+        if best is None or codim < best[0]:
+            best = codim, tau
+        rows.append({
+            "codim": codim,
+            "element": tau.to_json(),
+            "empty": False,
+            "factor_orders": orders,
+            "note": note,
+        })
+    for tau in elements[kernel_order:]:
+        rows.append({
+            "codim": None,
+            "element": tau.to_json(),
+            "empty": True,
+            "factor_orders": [],
+            "note": _FREE_TWIST_NOTE,
+        })
+    return rows, best
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from charvar import classify, cli, fixed_loci, groups, verify
-from charvar.groups import CentralSubgroup
+from charvar.fixed_loci import TwistRows
+from charvar.groups import CentralSubgroup, ElementRows
 from charvar.strata import StratumInfo, StratumRows, strata_table
+from conftest import mixed_denominator_specs, small_group_catalog
 
 
 def run(capsys, *argv):
@@ -185,6 +187,48 @@ def test_config_supplies_and_flags_override(capsys, tmp_path):
     assert json.loads(out)["kind"] == "resolution"
 
 
+_VERIFY = {"suite": "fixed-loci", "sizes": [2], "genera": [2], "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "command, config, refused",
+    [
+        ("classify", {"group": "SL(2)", "genus": 2.7}, True),
+        ("classify", {"group": "SL(2)", "genus": True}, True),
+        ("classify", {"group": "SL(2)", "genus": None}, True),
+        ("classify", {"group": "SL(2)", "genus": "2.0"}, True),
+        ("classify", {"group": "SL(2)", "genus": [2]}, True),
+        ("classify", {"group": "SL(2)", "genus": 2, "json": "no"}, True),
+        ("classify", {"group": "SL(2)", "genus": 2, "json": 0}, True),
+        ("classify", {"group": 5, "genus": 2}, True),
+        ("fixed-loci", {"group": "PGL(2)", "genus": 2, "oracle": 1}, True),
+        ("verify", {**_VERIFY, "trials": 1.9}, True),
+        ("verify", {**_VERIFY, "seed": 1.5}, True),
+        ("verify", {**_VERIFY, "sizes": [2.5]}, True),
+        ("verify", {**_VERIFY, "sizes": "2,x"}, True),
+        ("verify", {**_VERIFY, "genera": [True]}, True),
+        ("verify", {**_VERIFY, "strict": "no"}, True),
+        ("verify", {**_VERIFY, "suite": 1}, True),
+        # what the flags themselves accept
+        ("classify", {"group": "SL(2)", "genus": "2"}, False),
+        ("classify", {"group": "SL(2)", "genus": 2, "json": False}, False),
+        ("fixed-loci", {"group": {"factors": [2], "central_generators": []}, "genus": 2}, False),
+        ("verify", {**_VERIFY, "sizes": "2,3", "genera": "1,2", "seed": "7"}, False),
+        ("verify", {**_VERIFY, "strict": True}, False),
+    ],
+    ids=repr,
+)
+def test_config_values_are_typed_not_coerced(capsys, tmp_path, command, config, refused):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    if refused:
+        assert code == 1 and out == ""
+        assert err.startswith("error[config]") and "Traceback" not in err
+    else:
+        assert code == 0, err
+
+
 def test_verify_fixed_loci_passes(capsys):
     payload = run_json(
         capsys, "verify", "--suite", "fixed-loci", "--n", "2,3,4", "--genus", "1,2"
@@ -338,11 +382,17 @@ def test_classify_reports_properties_once_and_never_scans_the_kernel(capsys, mon
 
 
 def test_fixed_loci_scans_the_kernel_once(capsys, monkeypatch):
+    # Z0 is listed once, and the minimum comes from the pass that builds the
+    # rows: no second scan of the kernel, no per-element result objects
+    listed = _count_listings(monkeypatch)
     scans = _count_calls(monkeypatch, fixed_loci, "min_nonfree_codim")
+    orders = _count_calls(monkeypatch, fixed_loci, "per_factor_orders")
+    results = _count_calls(monkeypatch, fixed_loci, "FixedLocusResult")
     code, out, err = run(capsys, "fixed-loci", "--group", "PGL(2)^5", "--genus", "2", "--json")
     assert code == 0, err
     assert json.loads(out)["min_codim"] == 4
-    assert len(scans) == 1
+    assert listed == [32]
+    assert scans == orders == results == []
 
 
 def _count_listings(monkeypatch):
@@ -381,6 +431,41 @@ def test_cap_refusal_lists_nothing_and_comes_before_any_work(capsys, monkeypatch
     assert "error[group-spec]" in err and "cap" in err
     assert out == ""
     assert listed == [] and decompositions == [] and verdicts == []
+
+
+@pytest.mark.parametrize(
+    "group, limit",
+    [
+        ({"torus_rank": 10**30, "factors": [4]}, "limit 10000"),
+        ({"torus_rank": groups.MAX_TORUS_RANK + 1, "factors": [4]}, "limit 10000"),
+        (f"GL(1)^{groups.MAX_PRESET_FACTORS + 1}", "limit 10000"),
+        (f"SL(2)^{groups.MAX_PRESET_FACTORS // 2 + 1}xGL(1)^{groups.MAX_PRESET_FACTORS // 2}",
+         "limit 10000"),
+        # |Z0| = 2^40, refused from the preset's sizes before any generator exists
+        ("GL(2)^40", "cap"),
+    ],
+    ids=repr,
+)
+def test_oversized_specs_are_refused_before_any_work(capsys, monkeypatch, group, limit):
+    closures = []
+    closure = groups.Center.closure
+    monkeypatch.setattr(
+        groups.Center, "closure", lambda *a, **kw: closures.append(a) or closure(*a, **kw)
+    )
+    specs = _count_calls(monkeypatch, groups, "GroupSpec")
+    text = group if isinstance(group, str) else json.dumps(group)
+    for command in ("classify", "analyze", "fixed-loci", "strata", "terminalize"):
+        code, out, err = run(capsys, command, "--group", text, "--genus", "2")
+        assert code == 1 and out == "", command
+        assert err.startswith("error[group-spec]") and limit in err, err
+    assert closures == []
+    assert specs == [] or isinstance(group, dict)
+
+
+def test_torus_rank_at_the_limit_is_answered(capsys):
+    group = json.dumps({"torus_rank": groups.MAX_TORUS_RANK, "factors": [4]})
+    assert run_json(capsys, "classify", "--group", group, "--genus", "2")["kind"]
+    assert run(capsys, "classify", "--group", f"GL(1)^{groups.MAX_TORUS_RANK}", "--genus", "2")[0] == 0
 
 
 def test_analyze_lists_only_the_kernel(capsys, monkeypatch):
@@ -508,6 +593,70 @@ def test_stratum_rows_take_a_constant_number_of_writer_calls(capsys, monkeypatch
     (small_calls, small_lines), (wide_calls, wide_lines) = counts
     assert wide_lines > 15000 and wide_lines > 100 * small_lines
     assert wide_calls == small_calls <= 5
+
+
+def test_twist_and_kernel_rows_match_stdlib(monkeypatch, capsys):
+    # fixed-loci rows, with and without --oracle, and analyze's kernel list,
+    # on every catalog spec and every mixed-denominator torus spec, each at
+    # two of the genera 1-3 (the rows differ by genus only in codim and
+    # note); analyze, whose kernel list is the same at every genus, runs on
+    # the torus specs and every fourth catalog spec
+    catalog = list(small_group_catalog())
+    argvs = []
+    for i, spec in enumerate(catalog + mixed_denominator_specs()):
+        group = json.dumps(spec.to_json())
+        genera = [str(1 + (i + shift) % 3) for shift in range(3)]
+        argvs.append(("fixed-loci", "--group", group, "--genus", genera[0]))
+        argvs.append(("fixed-loci", "--group", group, "--genus", genera[1], "--oracle"))
+        if i >= len(catalog) or i % 4 == 0:
+            argvs.append(("analyze", "--group", group, "--genus", genera[2]))
+    writer = cli._json_text
+    seen = set()
+    for argv, payload in zip(argvs, _captured_payloads(monkeypatch, capsys, argvs)):
+        assert writer(payload) == json.dumps(payload, sort_keys=True, indent=2), argv
+        rows = payload.get("twists", payload.get("decomposition", {}).get("ss_kernel"))
+        seen.add("trivial Z0" if rows == [] else None)
+        for row in rows:
+            element = row.get("element", row)
+            seen.add("empty row" if row.get("empty") else None)
+            seen.add("fractional angle" if any("/" in c for c in element["torus"]) else None)
+            seen.add("no SL factor" if element["factors"] == [] else None)
+    assert seen >= {"trivial Z0", "empty row", "fractional angle", "no SL factor"}
+
+
+@pytest.mark.parametrize("rows_type", [TwistRows, ElementRows, StratumRows])
+def test_empty_row_lists_match_stdlib(rows_type):
+    rows = rows_type()
+    assert rows == [] and json.dumps(rows) == "[]"
+    for value in (rows, {"rows": rows}, [rows, rows_type([])]):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("group", ["PGL(2)xGL(2)", "GL(2)^2"])
+def test_a_key_the_twist_formats_lack_shows_in_the_comparison(group):
+    # the formats write the known keys only; an added key must not vanish
+    # unnoticed, so the stdlib comparison above has to see it
+    spec = groups.parse_group_spec(group)
+    rows, _ = fixed_loci.twist_rows(groups.canonical_decomposition(spec), 2)
+    kernel = groups.canonical_decomposition(spec).summary()["ss_kernel"]
+    for value in (rows, kernel):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        value[-1]["extra"] = 1
+        assert cli._json_text(value) != json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_twist_rows_take_a_constant_number_of_writer_calls(capsys, monkeypatch):
+    counts = []
+    for k in (3, 9):
+        calls = _count_calls(monkeypatch, cli, "_write_json")
+        argv = ("fixed-loci", "--group", f"PGL(2)^{k}", "--genus", "2", "--json")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        counts.append((len(calls), out.count("\n")))
+        monkeypatch.undo()
+    (small_calls, small_lines), (wide_calls, wide_lines) = counts
+    assert wide_lines > 50 * small_lines
+    assert wide_calls == small_calls
 
 
 def test_closed_pipe_exits_quietly():

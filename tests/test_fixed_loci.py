@@ -8,7 +8,9 @@ import pytest
 
 from charvar import fixed_loci
 from charvar.fixed_loci import (
+    TwistRows,
     _compositions,
+    _fixed_codim,
     _reaches_unit_gcd,
     codim_genus1_from_orders,
     codim_highgenus_from_orders,
@@ -18,6 +20,7 @@ from charvar.fixed_loci import (
     genus1_orbit_oracle,
     min_nonfree_codim,
     per_factor_orders,
+    twist_rows,
 )
 from charvar.groups import Center, GroupSpec, canonical_decomposition, parse_group_spec
 from conftest import mixed_denominator_specs, small_group_catalog
@@ -246,6 +249,27 @@ def test_min_nonfree_matches_brute_force_witness():
             assert min_nonfree_codim(dec, g) == want, (spec, g)
             nonfree += want is not None
     assert nonfree > len(specs)  # more than a third of the kernels are nontrivial
+
+
+def test_twist_rows_match_the_per_element_path():
+    # the one-pass rows against a FixedLocusResult per element, and the
+    # pass's minimum against the kernel scan of min_nonfree_codim
+    specs = list(small_group_catalog()) + mixed_denominator_specs()
+    free = 0
+    for spec in specs:
+        dec = canonical_decomposition(spec)
+        for g in (1, 2, 3):
+            rows, best = twist_rows(dec, g)
+            assert type(rows) is TwistRows
+            assert best == min_nonfree_codim(dec, g), (spec, g)
+            want = [
+                {"element": tau.to_json(), **_fixed_codim(tau, spec.factors, g).to_json()}
+                for tau in dec.full_center
+                if not tau.is_identity
+            ]
+            assert rows == want, (spec, g)
+            free += sum(row["empty"] for row in rows)
+    assert free > 0  # the torus specs give rows whose locus is empty
 
 
 def test_min_nonfree_lower_bound_and_equality():
