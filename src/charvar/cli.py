@@ -2,11 +2,12 @@
 
 Subcommands: analyze, strata, classify, fixed-loci, terminalize, verify,
 presets.  Every subcommand takes --json for machine-readable output and
---config pointing at a JSON file whose keys mirror the flag names (explicit
-flags win).  Exit codes: 0 success, 1 input error, 2 verification failure,
-so CI can tell a typo from mathematics disagreeing with an oracle; 141 when
-the reader closed standard output early (``charvar ... | head``), as a shell
-reports a process that SIGPIPE ended.
+--config pointing at a JSON file whose keys mirror the flag names and whose
+values take what the flags take, uncoerced (explicit flags win).  Exit
+codes: 0 success, 1 input error, 2 verification failure, so CI can tell a
+typo from mathematics disagreeing with an oracle; 141 when the reader closed
+standard output early (``charvar ... | head``), as a shell reports a process
+that SIGPIPE ended.
 
 This module only parses and validates flags and formats results; the
 library computes them, and ``charvar.verify`` runs the verify suites and
