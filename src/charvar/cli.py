@@ -11,7 +11,7 @@ that SIGPIPE ended.
 
 This module only parses and validates flags and formats results; the
 library computes them, and ``charvar.verify`` runs the verify suites and
-the --oracle cross-checks.
+the --oracle cross-checks and judges each verify run.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .groups import (
 )
 from .strata import StratumRows, strata_table
 from .terminalize import plan_terminalization, render_plan
-from .verify import SUITES, oracle_mismatches, run_suite
+from .verify import SUITES, SizeLimitError, oracle_mismatches, run_suite, suite_verdict
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -633,6 +633,10 @@ def _fixed_loci_text(payload: dict, best, checked: bool) -> str:
 def _cmd_fixed_loci(args, config) -> int:
     spec = _resolve_spec(args, config)
     genus = _resolve_genus(args, config)
+    checked = _merged(args, config, "oracle", False)
+    # the oracles run first, so that an oversized factor is refused before
+    # any row is built
+    problems = oracle_mismatches(spec, genus) if checked else []
     rows, best = twist_rows(canonical_decomposition(spec), genus)
     payload = {
         "genus": genus,
@@ -641,10 +645,8 @@ def _cmd_fixed_loci(args, config) -> int:
         "min_codim": None if best is None else best[0],
         "min_witness": None if best is None else best[1].to_json(),
     }
-    checked = _merged(args, config, "oracle", False)
-    problems = []
     if checked:
-        problems = payload["oracle_mismatches"] = oracle_mismatches(spec, genus)
+        payload["oracle_mismatches"] = problems
     _emit(args, config, payload, lambda: _fixed_loci_text(payload, best, checked))
     for p in problems:
         print(f"error[oracle]: {p}", file=sys.stderr)
@@ -659,7 +661,7 @@ def _cmd_presets(args, config) -> int:
     return EXIT_OK
 
 
-def _verify_text(records: list[dict], failed: list, unreliable: list) -> str:
+def _verify_text(records: list[dict], failed: int, unreliable: int) -> str:
     lines = []
     for rec in records:
         tag = f"{rec['suite']}"
@@ -669,8 +671,8 @@ def _verify_text(records: list[dict], failed: list, unreliable: list) -> str:
         status = "ok" if rec["ok"] else "FAIL: " + "; ".join(rec["failures"])
         lines.append(f"{tag}: {status}")
     lines.append(
-        f"{len(records) - len(failed)}/{len(records)} record(s) passed"
-        + (f", {len(unreliable)} unreliable rank cut(s)" if unreliable else "")
+        f"{len(records) - failed}/{len(records)} record(s) passed"
+        + (f", {unreliable} unreliable rank cut(s)" if unreliable else "")
     )
     return "\n".join(lines)
 
@@ -698,9 +700,7 @@ def _cmd_verify(args, config) -> int:
     strict = _merged(args, config, "strict", False)
 
     records = run_suite(suite, sizes, genera, trials, master_seed)
-    failed = [r for r in records if not r["ok"]]
-    unreliable = [r for r in records if r.get("reliable") is False]
-    ok = not failed and not (strict and unreliable)
+    failed, unreliable, problem = suite_verdict(records, strict)
     payload = {
         "suite": suite,
         "seed": master_seed,
@@ -709,22 +709,12 @@ def _cmd_verify(args, config) -> int:
         "genera": genera,
         "strict": strict,
         "records": records,
-        "ok": ok,
+        "ok": problem is None,
     }
     _emit(args, config, payload, lambda: _verify_text(records, failed, unreliable))
-    if failed:
-        print(
-            f"error[verify]: {len(failed)} record(s) disagreed with the oracle",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY_FAILURE
-    if strict and unreliable:
-        print(
-            f"error[verify]: {len(unreliable)} unreliable rank cut(s) in strict mode",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY_FAILURE
-    return EXIT_OK
+    if problem:
+        print(f"error[verify]: {problem}", file=sys.stderr)
+    return EXIT_VERIFY_FAILURE if problem else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -753,6 +743,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except CliInputError as exc:
         return _fail(exc)
+    except SizeLimitError as exc:
+        return _fail(CliInputError("size", str(exc)))
     except ValueError as exc:
         return _fail(CliInputError("input", str(exc)))
     except BrokenPipeError:

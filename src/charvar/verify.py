@@ -1,11 +1,13 @@
 """Verification suites: exact predictions against oracles, as records.
 
-Each suite returns a list of JSON-ready records, one per checked case, each
-with a ``failures`` list and an ``ok`` flag; the command line only formats
-them.  The fixed-locus closed forms are compared with their counting
-oracles in exactly one place per genus regime (``genus1_pair_mismatch`` and
-``order_mismatch``), used both by the fixed-loci suite and by
-``oracle_mismatches`` for a concrete group.
+Every expected value and tolerance of a verification case lives in one
+per-case check here (``genus1_pair_mismatch``, ``order_mismatch``,
+``check_irreducible``, ``check_diagonal``, ``check_transfer``), which the
+suites, ``oracle_mismatches`` and the acceptance criteria all call.
+``run_suite`` returns JSON-ready records, each with a ``failures`` list and
+an ``ok`` flag, and ``suite_verdict`` judges a run; the command line only
+formats them.  ``run_suite`` and ``oracle_mismatches`` refuse inputs above
+the size limits below with ``SizeLimitError`` before any work.
 """
 
 from __future__ import annotations
@@ -37,6 +39,32 @@ from .numerics import (
 
 SUITES = ("cohomology", "moment-map", "fixed-loci", "all")
 _MAX_RESAMPLES = 5
+
+# Size limits, from subprocess times on a 2-core VM.  One trial of every
+# suite at n = 12 and genus 32 takes 1.7 s at a 140 MB peak, at n = 16
+# 4.3 s and 361 MB.  The cost is linear in the trial count and in the number
+# of (n, genus) pairs.  The genus limit keeps in reach the genera where the
+# solvers start to fail at seed 0: the moment-map solve at genus 12 for
+# n = 12 and genus 20 for n = 4, the search for an irreducible point at
+# genus 25 for n = 4.
+MAX_VERIFY_N = 12
+MAX_VERIFY_GENUS = 32
+# The numeric tangent count ranks n^2 numbers per order l | n:
+# `fixed-loci --oracle` takes 0.7-1.0 s on PGL(960) and 1.4 s on PGL(1500).
+MAX_ORACLE_N = 1000
+
+RELATOR_TOL = 1e-12
+MOMENT_TOL = 1e-8
+TRANSFER_TOL = 1e-7
+
+
+class SizeLimitError(ValueError):
+    """An input above a size limit, refused before any work."""
+
+
+def _check_limit(what: str, value: int, limit: int, scope: str) -> None:
+    if value > limit:
+        raise SizeLimitError(f"{what} = {value} is above the limit {limit} of {scope}")
 
 
 def _trial_seed(master: int, *indices: int) -> int:
@@ -84,7 +112,8 @@ def oracle_mismatches(spec: GroupSpec, genus: int) -> list[str]:
     """Brute-force recounts of each distinct per-factor case the kernel hits.
 
     A case is (n, a) at genus one, checked as the pairs (a, 0) and (0, a),
-    and (n, l) at genus >= 2; twists with a torus coordinate fix nothing.
+    and (n, l) at genus >= 2, where n may not exceed ``MAX_ORACLE_N``;
+    twists with a torus coordinate fix nothing.
     """
     kernel = [e for e in canonical_decomposition(spec).ss_kernel if not e.is_identity]
     if genus == 1:
@@ -101,6 +130,10 @@ def oracle_mismatches(spec: GroupSpec, genus: int) -> list[str]:
             case
             for e in kernel
             for case in zip(spec.factors, per_factor_orders(e, spec.factors))
+        )
+        _check_limit(
+            "n", max((n for n, _ in cases), default=0), MAX_ORACLE_N,
+            "the genus >= 2 tangent counts",
         )
         found = [order_mismatch(n, ell, genus) for n, ell in cases]
     return [p for p in found if p is not None]
@@ -124,13 +157,32 @@ def fixed_loci_records(sizes: Sequence[int], genera: Sequence[int]) -> list[dict
                 ]
             rec = _record("fixed-loci", n, genus, checks=len(found))
             rec["failures"] = [p for p in found if p is not None]
-            rec["ok"] = not rec["failures"]
             records.append(rec)
     return records
 
 
 # --------------------------------------------------------------------------
-# numerical suites
+# numerical checks and suites
+
+
+def expected_h1(n: int, genus: int) -> int:
+    """h^1 at an irreducible point: the tangent dimension 2(g-1)(n^2-1)."""
+    return 2 * (genus - 1) * (n * n - 1)
+
+
+def irreducible_point(n: int, genus: int, seed: int) -> Optional[SurfaceRep]:
+    """A refined random tuple, or None if refinement fails or it is reducible."""
+    try:
+        rep = newton_refine_rep(sample_random_rep(n, genus, seed=seed), tol=RELATOR_TOL)
+    except ConvergenceError:
+        return None
+    return rep if centralizer_dim(rep, mode="gl") == 1 else None
+
+
+def moment_point(n: int, genus: int, seed: int) -> list:
+    """Perturbed unitaries refined onto the moment map; may raise ConvergenceError."""
+    start = sample_moment_start(n, genus, seed=seed, spread=0.3)
+    return refine_moment_map_point(start, tol=MOMENT_TOL)
 
 
 def _cohomology_fields(rep: SurfaceRep) -> dict:
@@ -144,6 +196,47 @@ def _cohomology_fields(rep: SurfaceRep) -> dict:
     }
 
 
+def check_irreducible(rep: SurfaceRep) -> dict:
+    """Measured fields and failures at a refined irreducible point."""
+    fields = _cohomology_fields(rep)
+    expected = expected_h1(rep.n, rep.genus)
+    h0, h1, h2 = fields["h"]
+    failures = []
+    if fields["relator_residual"] > RELATOR_TOL:
+        failures.append("relator residual above 1e-12")
+    if (h0, h2) != (0, 0):
+        failures.append("nonzero h0 or h2 at irreducible point")
+    if h1 != expected:
+        failures.append(f"h1 = {h1}, expected {expected}")
+    if fields["euler_residual"] != 0:
+        failures.append("nonzero euler residual")
+    return {**fields, "expected_h1": expected, "failures": failures}
+
+
+def check_diagonal(rep: SurfaceRep) -> dict:
+    """Measured fields and failures at an exact commuting diagonal tuple."""
+    fields = _cohomology_fields(rep)
+    h0, _, h2 = fields["h"]
+    failures = []
+    if (h0, h2) != (rep.n - 1, rep.n - 1):
+        failures.append(f"h0 = {h0}, expected {rep.n - 1}")
+    if fields["euler_residual"] != 0:
+        failures.append("nonzero euler residual")
+    return {**fields, "failures": failures}
+
+
+def check_transfer(point: Sequence) -> dict:
+    """Residuals and failures of a moment-map point and its surface tuple."""
+    mres = moment_residual(point)
+    rres = mpa_to_surface(point, tol=TRANSFER_TOL).relator_residual()
+    failures = []
+    if mres > MOMENT_TOL:
+        failures.append("moment residual above 1e-8")
+    if rres > TRANSFER_TOL:
+        failures.append("relator residual above ten times the moment tolerance")
+    return {"moment_residual": mres, "relator_residual": rres, "failures": failures}
+
+
 def cohomology_records(
     sizes: Sequence[int], genera: Sequence[int], trials: int, master_seed: int
 ) -> list[dict]:
@@ -152,54 +245,27 @@ def cohomology_records(
     records = []
     for n in sizes:
         for genus in genera:
-            expected_h1 = 2 * (genus - 1) * (n * n - 1)
             for trial in range(trials):
                 rec = _record(
                     "cohomology", n, genus, kind="irreducible-random", trial=trial
                 )
                 rec["resamples"] = 0
-                rep = None
                 for attempt in range(_MAX_RESAMPLES):
                     seed = _trial_seed(master_seed, 1, n, genus, trial, attempt)
-                    try:
-                        candidate = newton_refine_rep(
-                            sample_random_rep(n, genus, seed=seed), tol=1e-12
-                        )
-                    except ConvergenceError:
-                        rec["resamples"] += 1
-                        continue
-                    if centralizer_dim(candidate, mode="gl") == 1:
-                        rep = candidate
+                    rep = irreducible_point(n, genus, seed)
+                    if rep is not None:
                         rec["seed"] = seed
+                        rec.update(check_irreducible(rep))
                         break
                     rec["resamples"] += 1
-                if rep is None:
-                    rec["failures"].append("no irreducible point found")
                 else:
-                    rec.update(_cohomology_fields(rep), expected_h1=expected_h1)
-                    h0, h1, h2 = rec["h"]
-                    if rec["relator_residual"] > 1e-12:
-                        rec["failures"].append("relator residual above 1e-12")
-                    if (h0, h2) != (0, 0):
-                        rec["failures"].append("nonzero h0 or h2 at irreducible point")
-                    if h1 != expected_h1:
-                        rec["failures"].append(f"h1 = {h1}, expected {expected_h1}")
-                    if rec["euler_residual"] != 0:
-                        rec["failures"].append("nonzero euler residual")
-                rec["ok"] = not rec["failures"]
+                    rec["failures"].append("no irreducible point found")
                 records.append(rec)
 
             # one commuting tuple per (n, genus): exact and reducible
             seed = _trial_seed(master_seed, 2, n, genus)
-            rep = sample_diagonal_rep(n, genus, seed=seed)
             rec = _record("cohomology", n, genus, kind="commuting-diagonal", seed=seed)
-            rec.update(_cohomology_fields(rep))
-            h0, _, h2 = rec["h"]
-            if (h0, h2) != (n - 1, n - 1):
-                rec["failures"].append(f"h0 = {h0}, expected {n - 1}")
-            if rec["euler_residual"] != 0:
-                rec["failures"].append("nonzero euler residual")
-            rec["ok"] = not rec["failures"]
+            rec.update(check_diagonal(sample_diagonal_rep(n, genus, seed=seed)))
             records.append(rec)
     return records
 
@@ -215,23 +281,9 @@ def moment_records(
                 seed = _trial_seed(master_seed, 3, n, genus, trial)
                 rec = _record("moment-map", n, genus, trial=trial, seed=seed)
                 try:
-                    solved = refine_moment_map_point(
-                        sample_moment_start(n, genus, seed=seed, spread=0.3),
-                        tol=1e-8,
-                    )
-                    mres = moment_residual(solved)
-                    rres = mpa_to_surface(solved, tol=1e-7).relator_residual()
-                    rec["moment_residual"] = mres
-                    rec["relator_residual"] = rres
-                    if mres > 1e-8:
-                        rec["failures"].append("moment residual above 1e-8")
-                    if rres > 1e-7:
-                        rec["failures"].append(
-                            "relator residual above ten times the moment tolerance"
-                        )
+                    rec.update(check_transfer(moment_point(n, genus, seed)))
                 except (ConvergenceError, ValueError) as exc:
                     rec["failures"].append(str(exc))
-                rec["ok"] = not rec["failures"]
                 records.append(rec)
     return records
 
@@ -243,9 +295,13 @@ def run_suite(
     trials: int,
     master_seed: int,
 ) -> list[dict]:
-    """Records of one suite, or of all three in order for ``"all"``."""
+    """Records of one suite, or of all three in order for ``"all"``, each
+    ``ok`` when it has no failures; n and genus may not exceed
+    ``MAX_VERIFY_N`` and ``MAX_VERIFY_GENUS``."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    _check_limit("n", max(sizes, default=0), MAX_VERIFY_N, "the verify suites")
+    _check_limit("genus", max(genera, default=0), MAX_VERIFY_GENUS, "the verify suites")
     records = []
     if suite in ("cohomology", "all"):
         records += cohomology_records(sizes, genera, trials, master_seed)
@@ -253,4 +309,18 @@ def run_suite(
         records += moment_records(sizes, genera, trials, master_seed)
     if suite in ("fixed-loci", "all"):
         records += fixed_loci_records(sizes, genera)
+    for rec in records:
+        rec["ok"] = not rec["failures"]
     return records
+
+
+def suite_verdict(records: Sequence[dict], strict: bool) -> tuple[int, int, Optional[str]]:
+    """Failed records, unreliable rank cuts, and why the run fails (None when
+    it passes): any failed record, and under ``strict`` any unreliable cut."""
+    failed = sum(not r["ok"] for r in records)
+    unreliable = sum(r.get("reliable") is False for r in records)
+    if failed:
+        return failed, unreliable, f"{failed} record(s) disagreed with the oracle"
+    if strict and unreliable:
+        return failed, unreliable, f"{unreliable} unreliable rank cut(s) in strict mode"
+    return failed, unreliable, None

@@ -1,13 +1,15 @@
 """Acceptance gate: one test per headline guarantee, one PASS line each.
 
 Run through pytest, or directly (python3 tests/test_acceptance.py) for the
-standalone PASS/FAIL report.  Every tolerance and expected value is stated
-inline; nothing here depends on test order.
+standalone PASS/FAIL report.  The fixed-locus, cohomology and moment-map
+criteria (4, 5, 6 and 8) call the per-case checks of ``charvar.verify``, where
+their expected values and tolerances live, the same checks the verify suites
+run; every other expected value is stated inline.  Nothing here depends on
+test order.
 """
 
 import sys
 import time
-from math import gcd, lcm
 
 import numpy as np
 
@@ -19,29 +21,21 @@ from charvar import (
     Center,
     WeightedPartition,
     canonical_decomposition,
-    centralizer_dim,
     char_variety_dim,
     classify_resolution,
     coboundary_matrix,
     cocycle_matrix,
-    cohomology_dims,
-    codim_highgenus_from_orders,
     enumerate_central_subgroups,
     enumerate_weighted_partitions,
     fixed_tangent_oracle,
-    genus1_orbit_oracle,
     min_nonfree_codim,
-    mpa_to_surface,
-    newton_refine_rep,
     parse_group_spec,
     plan_terminalization,
-    refine_moment_map_point,
     sample_diagonal_rep,
-    sample_moment_start,
-    sample_random_rep,
     stratum_codim,
     stratum_dim_gl,
 )
+from charvar import verify
 from charvar.numerics import ConvergenceError
 
 
@@ -168,11 +162,8 @@ def criterion_4():
     for n in range(1, 9):
         for a in range(n):
             for b in range(n):
-                ell = lcm(n // gcd(a, n), n // gcd(b, n))
-                closed_codim = 2 * (n - n // ell)
-                counted_dim = genus1_orbit_oracle(n, (a, b))
-                assert counted_dim is not None, (n, a, b)
-                assert (2 * n - 2) - counted_dim == closed_codim, (n, a, b)
+                problem = verify.genus1_pair_mismatch(n, (a, b))
+                assert problem is None, problem
                 checks += 1
     best = min_nonfree_codim(canonical_decomposition(parse_group_spec("PGL(2)")), 1)
     assert best is not None and best[0] == 2
@@ -188,8 +179,8 @@ def criterion_5():
                 assert fixed_tangent_oracle(n, ell, 2) is None
                 continue
             for genus in (2, 3):
-                closed = codim_highgenus_from_orders([n], [ell], genus)
-                assert fixed_tangent_oracle(n, ell, genus) == closed, (n, ell, genus)
+                problem = verify.order_mismatch(n, ell, genus)
+                assert problem is None, problem
                 checks += 1
     for label, spec, _, _ in classification_catalog():
         decomp = canonical_decomposition(spec)
@@ -221,13 +212,8 @@ def _gathered_reps():
             assert attempt < 4 * _TRIALS, f"too many reducible starts at ({n},{genus})"
             seed = 100_000 * n + 1_000 * genus + attempt
             attempt += 1
-            try:
-                rep = newton_refine_rep(
-                    sample_random_rep(n, genus, seed=seed), tol=1e-12
-                )
-            except ConvergenceError:
-                continue
-            if centralizer_dim(rep, mode="gl") == 1:
+            rep = verify.irreducible_point(n, genus, seed)
+            if rep is not None:
                 found.append(rep)
         irreducible[(n, genus)] = found
         diagonal[(n, genus)] = [
@@ -241,20 +227,12 @@ def criterion_6():
     """Cohomology on 50 irreducible + 50 diagonal reps per (n, g), < 2 min."""
     start = time.perf_counter()
     irreducible, diagonal = _gathered_reps()
-    for (n, genus), reps in irreducible.items():
-        expected_h1 = 2 * (genus - 1) * (n * n - 1)
-        for rep in reps:
-            assert rep.relator_residual() <= 1e-12
-            report = cohomology_dims(rep)
-            assert (report.h0, report.h1, report.h2) == (0, expected_h1, 0), (
-                n, genus, report
-            )
-            assert report.euler_residual == 0
-    for (n, genus), reps in diagonal.items():
-        for rep in reps:
-            report = cohomology_dims(rep)
-            assert report.euler_residual == 0, (n, genus)
-            assert report.h0 == n - 1, (n, genus, report.h0)
+    checks = ((verify.check_irreducible, irreducible), (verify.check_diagonal, diagonal))
+    for check, group in checks:
+        for (n, genus), reps in group.items():
+            for rep in reps:
+                failures = check(rep)["failures"]
+                assert not failures, (n, genus, failures)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"cohomology runs took {elapsed:.1f} s, limit 120 s"
     total = sum(len(v) for v in irreducible.values())
@@ -277,7 +255,7 @@ def criterion_7():
 
 
 def criterion_8():
-    """100 moment-map points transfer to reps with relator residual <= 1e-7."""
+    """100 moment-map points transfer to reps within the transfer bound."""
     transferred = 0
     for n in (2, 3):
         successes = 0
@@ -287,17 +265,14 @@ def criterion_8():
             seed = 7_000_000 + 10_000 * n + attempt
             attempt += 1
             try:
-                point = refine_moment_map_point(
-                    sample_moment_start(n, 2, seed=seed, spread=0.3), tol=1e-8
-                )
+                point = verify.moment_point(n, 2, seed)
             except ConvergenceError:
                 continue
-            rep = mpa_to_surface(point, tol=1e-7)
-            residual = rep.relator_residual()
-            assert residual <= 1e-7, (n, seed, residual)
+            failures = verify.check_transfer(point)["failures"]
+            assert not failures, (n, seed, failures)
             successes += 1
             transferred += 1
-    return f"{transferred} transferred points stay within 1e-7"
+    return f"{transferred} transferred points stay within {verify.TRANSFER_TOL:g}"
 
 
 def criterion_9():
@@ -334,6 +309,19 @@ def _run(index):
     fn = CRITERIA[index - 1]
     message = fn()
     print(f"criterion {index}: PASS ({message})")
+
+
+def report() -> int:
+    """One PASS or FAIL line per criterion; any exception fails its criterion
+    and the report goes on.  Returns the exit status, 1 if any failed."""
+    failed = 0
+    for i in range(1, len(CRITERIA) + 1):
+        try:
+            _run(i)
+        except Exception as exc:
+            print(f"criterion {i}: FAIL ({type(exc).__name__}: {exc})")
+            failed += 1
+    return 1 if failed else 0
 
 
 def test_criterion_1():
@@ -373,11 +361,4 @@ def test_criterion_9():
 
 
 if __name__ == "__main__":
-    failed = 0
-    for i in range(1, len(CRITERIA) + 1):
-        try:
-            _run(i)
-        except AssertionError as exc:
-            print(f"criterion {i}: FAIL ({exc})")
-            failed += 1
-    sys.exit(1 if failed else 0)
+    sys.exit(report())
